@@ -1,7 +1,8 @@
 """The group action on arcs (start point, angular length) and its invariant.
 
 A disc isometry g maps the arc {zeta*e^{is}: 0 <= s <= theta} to another
-circular arc; act_arc returns its start g(zeta) and its arclength.  The length
+circular arc; act_arcs returns the starts g(zeta) and arclengths of many
+images at once, and act_arc is its size-1 call.  The length
 integrand 1/|conj(alpha) + zeta*conj(beta)*e^{is}|^2 is itself a Poisson
 kernel evaluated at z0 = -conj(beta)*zeta/alpha-bar and reflected angle, so
 the same closed-form antiderivative that powers `poisson.extend` gives the
@@ -26,27 +27,43 @@ from .moebius import MoebiusElement
 from .poisson import NearBoundaryError, angle_antiderivative
 
 
-def theta_transform(g: MoebiusElement, zeta: complex, theta: float) -> float:
-    """Arclength of g(arc): integral over [0, theta] of the boundary speed.
+def act_arcs(alpha, beta, zeta, theta):
+    """Images of the arcs (zeta, theta) under the elements (alpha, beta), all at once.
 
-    The integrand equals the Poisson kernel at z0 = -conj(beta)*zeta/conj(alpha)
-    and angle -s, so the value is V(0) - V(-theta) for the kernel antiderivative
-    V at z0.  Endpoints 0 and 2pi are exact.
+    The arguments broadcast to one common shape.  Returns the image starts,
+    renormalised to |zeta| = 1, and the image lengths.  The length integrand
+    equals the Poisson kernel at z0 = -conj(beta)*zeta/conj(alpha) and angle
+    -s, so the length is V(0) - V(-theta) for the kernel antiderivative V at
+    z0; both values come from one call on the stacked angles.  Lengths 0 and
+    2pi are exact; every length is clipped to [0, 2pi].
     """
-    if theta <= 0.0:
-        return 0.0
-    if theta >= TWO_PI:
-        return TWO_PI
-    z0 = -np.conj(g.beta) * zeta / np.conj(g.alpha)
-    v0 = float(angle_antiderivative(z0, 0.0))
-    v1 = float(angle_antiderivative(z0, -theta))
-    return v0 - v1
+    alpha, beta, zeta, theta = np.broadcast_arrays(
+        np.asarray(alpha, dtype=complex),
+        np.asarray(beta, dtype=complex),
+        np.asarray(zeta, dtype=complex),
+        np.asarray(theta, dtype=float),
+    )
+    ca, cb = np.conj(alpha), np.conj(beta)
+    start = (alpha * zeta + beta) / (cb * zeta + ca)
+    start /= np.abs(start)
+    length = np.array(np.clip(theta, 0.0, TWO_PI))
+    inner = (length > 0.0) & (length < TWO_PI)
+    if np.any(inner):
+        z0 = -cb[inner] * zeta[inner] / ca[inner]
+        th = theta[inner]
+        v = angle_antiderivative(z0, np.stack((np.zeros_like(th), -th)))
+        length[inner] = np.clip(v[0] - v[1], 0.0, TWO_PI)
+    return start, length
+
+
+def theta_transform(g: MoebiusElement, zeta: complex, theta: float) -> float:
+    """Arclength of g(arc) for one arc, by act_arcs."""
+    return float(act_arcs(g.alpha, g.beta, zeta, theta)[1])
 
 
 def act_arc(g: MoebiusElement, x: Arc) -> Arc:
-    zeta = moebius.act_disc(g, x.zeta)
-    zeta /= abs(zeta)
-    return Arc(zeta, theta_transform(g, x.zeta, x.theta))
+    zeta, theta = act_arcs(g.alpha, g.beta, x.zeta, x.theta)
+    return Arc(complex(zeta), float(theta))
 
 
 def big_F(z: complex, x: Arc) -> float:

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 when a certified inequality gate fails on valid
 input, 1 on usage errors or invalid input.  Every CSV and PGM embeds a config
 echo in `#` header lines; JSON outputs carry a "config" key.  Outputs are
-deterministic per (config, seed) and independent of DISCDYN_THREADS.
+deterministic per (config, seed).
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,24 +38,6 @@ def _fmt(x) -> str:
 
 def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("DISCDYN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Order-preserving map; DISCDYN_THREADS > 1 fans out, output unchanged."""
-    n = thread_count()
-    items = list(items)
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _echo_pairs(args) -> list[tuple[str, str]]:
@@ -189,13 +169,9 @@ def cmd_extend(args) -> int:
 def cmd_act(args) -> int:
     f = _load_boundary(args.boundary)
     g = _element_from_args(args)
-    moved = compose_action(f, g)
+    moved = compose_with_moebius(f, moebius.inverse(g))
     _save_boundary(args.out, moved, _config_dict("act", args))
     return 0
-
-
-def compose_action(f: BoundaryFunction, g) -> BoundaryFunction:
-    return compose_with_moebius(f, moebius.inverse(g))
 
 
 def cmd_orbit(args) -> int:
@@ -206,7 +182,7 @@ def cmd_orbit(args) -> int:
     fn = f
     for n in range(args.steps + 1):
         if n > 0:
-            fn = compose_action(fn, g)
+            fn = compose_with_moebius(fn, moebius.inverse(g))
         val, bar = poisson.metric_norm(HarmonicFunction(fn), ex)
         m = fn.mean()
         rows.append((n, val, bar, m.real, m.imag))
@@ -278,16 +254,7 @@ def cmd_arcflow(args) -> int:
 def cmd_foliate(args) -> int:
     group = foliation.genus2_group()
     base = Arc(args.base_zeta, args.base_theta)
-    letters = group.letters()
-    rng = np.random.default_rng(args.seed)
-    jobs = []
-    for _ in range(args.points):
-        length = int(rng.integers(0, args.max_word_len + 1))
-        jobs.append((length, foliation._random_reduced_word(rng, len(letters), length)))
-    pts = _map_ordered(lambda j: foliation._apply_word(letters, j[1], base), jobs)
-    sample = foliation.OrbitSample(
-        tuple(pts), tuple(j[0] for j in jobs), args.seed, base
-    )
+    sample = foliation.orbit_sample(group, base, args.points, args.max_word_len, args.seed)
     cov = foliation.coverage_statistic(sample, args.grid)
     rows = [
         (L, a.zeta.real, a.zeta.imag, a.theta)

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import moebius
-from .arcspace import Arc, act_arc, big_F
+from .arcspace import Arc, act_arc, act_arcs, big_F  # noqa: F401  (act_arc is re-exported)
 from .boundary import TWO_PI, BoundaryFunction
 from .moebius import MoebiusElement
 from .poisson import extend
@@ -136,11 +136,28 @@ def _random_reduced_word(rng, n_letters: int, length: int) -> list[int]:
     return word
 
 
-def _apply_word(letters, word: Iterable[int], base: Arc) -> Arc:
-    g = moebius.identity()
-    for i in word:
-        g = moebius.compose(g, letters[i])
-    return act_arc(g, base)
+def _apply_words(letters, words: Sequence[Sequence[int]], base: Arc) -> list[Arc]:
+    """The images g(base) for the words g = l0 l1 ... lk, all at once.
+
+    The words are right-aligned in an index table whose columns act right to
+    left, so g acts as l0(l1(...lk(base))); a point moves only at the
+    positions where its word has a letter.  No product matrix is formed:
+    its entries grow exponentially with the word length, and once |alpha|
+    nears 1e8, |alpha|^2 - |beta|^2 cancels to nothing in double precision.
+    """
+    alpha = np.array([g.alpha for g in letters])
+    beta = np.array([g.beta for g in letters])
+    width = max(map(len, words), default=0)
+    table = np.full((len(words), width), -1)
+    for row, word in zip(table, words):
+        row[width - len(word) :] = word
+    zeta = np.full(len(words), base.zeta)
+    theta = np.full(len(words), base.theta)
+    for col in table.T[::-1]:
+        on = col >= 0
+        idx = col[on]
+        zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
+    return [Arc(z, t) for z, t in zip(zeta.tolist(), theta.tolist())]
 
 
 def orbit_sample(
@@ -157,15 +174,13 @@ def orbit_sample(
     """
     rng = np.random.default_rng(int(seed))
     letters = group.letters()
-    pts = []
-    lens = []
+    words = []
     for _ in range(n_points):
         length = int(rng.integers(0, max_word_len + 1))
-        word = _random_reduced_word(rng, len(letters), length)
-        pts.append(_apply_word(letters, word, base))
-        lens.append(length)
+        words.append(_random_reduced_word(rng, len(letters), length))
+    pts = _apply_words(letters, words, base)
     on_b = base.theta <= 0.0 or base.theta >= TWO_PI
-    return OrbitSample(tuple(pts), tuple(lens), int(seed), base, on_b)
+    return OrbitSample(tuple(pts), tuple(map(len, words)), int(seed), base, on_b)
 
 
 def _occupied_cells(points: Sequence[Arc], grid: int) -> set[tuple[int, int]]:
@@ -204,11 +219,8 @@ def coverage_sweep(
     rows = []
     for length in range(max_word_len + 1):
         rng = np.random.default_rng([int(seed), length])
-        batch = [
-            _apply_word(letters, _random_reduced_word(rng, len(letters), length), base)
-            for _ in range(n_per_length)
-        ]
-        cells |= _occupied_cells(batch, grid)
+        words = [_random_reduced_word(rng, len(letters), length) for _ in range(n_per_length)]
+        cells |= _occupied_cells(_apply_words(letters, words, base), grid)
         rows.append((length, len(cells) / (grid * grid)))
     return rows
 

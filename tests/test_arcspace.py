@@ -7,6 +7,7 @@ from discdyn import (
     Arc,
     SpherePoint,
     act_arc,
+    act_arcs,
     act_disc,
     act_sphere,
     big_F,
@@ -71,6 +72,19 @@ class TestThetaTransform:
 
 
 class TestActArc:
+    def test_batch_matches_scalar_calls(self, rng):
+        gs = [random_element(rng) for _ in range(40)]
+        arcs = [random_arc(rng, interior=False) for _ in range(38)]
+        arcs += [Arc(1j, 0.0), Arc(-1.0, TWO_PI)]
+        zeta, theta = act_arcs(
+            [g.alpha for g in gs], [g.beta for g in gs],
+            [a.zeta for a in arcs], [a.theta for a in arcs],
+        )
+        for g, a, z, t in zip(gs, arcs, zeta, theta):
+            y = act_arc(g, a)
+            assert abs(y.zeta - z) <= 1e-15 and abs(y.theta - t) <= 1e-15
+        assert theta[-2] == 0.0 and theta[-1] == TWO_PI
+
     def test_width_complementarity(self, rng):
         for _ in range(30):
             g = random_element(rng)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,8 @@ from discdyn import (
     short_word_scan,
     tautological_eval,
 )
+
+from discdyn.foliation import _apply_words, _random_reduced_word
 
 from conftest import random_boundary, random_element
 
@@ -93,6 +96,64 @@ class TestOrbitSampling:
         fr = [r[1] for r in rows]
         assert all(b >= a for a, b in zip(fr, fr[1:]))
         assert fr[-1] > 0.0
+
+
+def _oracle_image(letters, word, zeta, theta):
+    """The word's product matrix at 60 digits, applied to both ends of the arc.
+
+    Returns the image start and the angle from the image start to the image
+    end, in [0, 2pi).
+    """
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(1), mpmath.mpc(0)
+        for i in word:
+            la, lb = mpmath.mpc(letters[i].alpha), mpmath.mpc(letters[i].beta)
+            a, b = a * la + b * mpmath.conj(lb), a * lb + b * mpmath.conj(la)
+
+        def act(z):
+            return (a * z + b) / (mpmath.conj(b) * z + mpmath.conj(a))
+
+        z0 = mpmath.mpc(zeta)
+        w0 = act(z0)
+        w1 = act(z0 * mpmath.expj(mpmath.mpf(theta)))
+        return complex(w0 / abs(w0)), float(mpmath.arg(w1 / w0) % (2 * mpmath.pi))
+
+
+class TestLetterByLetterAction:
+    @pytest.mark.parametrize("length", [8, 12, 16, 20])
+    def test_matches_60_digit_product(self, length):
+        letters = genus2_group().letters()
+        rng = np.random.default_rng(length)
+        words = [_random_reduced_word(rng, len(letters), length) for _ in range(300)]
+        base = Arc(np.exp(0.7j), 2.1)
+        worst_zeta = worst_theta = 0.0
+        for word, arc in zip(words, _apply_words(letters, words, base)):
+            zeta, theta = _oracle_image(letters, word, base.zeta, base.theta)
+            worst_zeta = max(worst_zeta, abs(arc.zeta - zeta))
+            worst_theta = max(worst_theta, abs(arc.theta - theta))
+        assert worst_zeta <= 1e-13 and worst_theta <= 1e-13, (worst_zeta, worst_theta)
+
+    @pytest.mark.parametrize("theta", [0.0, TWO_PI])
+    def test_boundary_circles_stay_exact(self, theta):
+        letters = genus2_group().letters()
+        rng = np.random.default_rng(3)
+        words = [_random_reduced_word(rng, len(letters), 12) for _ in range(300)]
+        base = Arc(np.exp(2.0j), theta)
+        for word, arc in zip(words, _apply_words(letters, words, base)):
+            assert arc.theta == theta
+            assert abs(arc.zeta - _oracle_image(letters, word, base.zeta, 1.0)[0]) <= 1e-13
+
+    def test_mixed_lengths_act_right_to_left(self):
+        # g = l0 l1 ... lk acts as l0(l1(...lk(x))), whatever the other words' lengths
+        letters = genus2_group().letters()
+        base = Arc(np.exp(0.3j), 1.9)
+        words = [[], [2], [0, 1], [5, 6, 4, 3]]
+        for word, arc in zip(words, _apply_words(letters, words, base)):
+            expect = base
+            for i in reversed(word):
+                expect = act_arc(letters[i], expect)
+            assert abs(arc.zeta - expect.zeta) <= 1e-14
+            assert abs(arc.theta - expect.theta) <= 1e-14
 
 
 class TestLeafwise:
