@@ -21,7 +21,6 @@ from .arcspace import (
 from .boundary import (
     BoundaryFunction,
     InvalidPartitionError,
-    LazyBoundaryFunction,
     angle_to_line,
     arc_length_of_region,
     cayley,
@@ -46,7 +45,6 @@ from .chaos import (
     ResolutionError,
     TargetFamily,
     build_dense_seed,
-    build_parabolic_dense_seed,
     build_parabolic_periodic,
     build_periodic_approximant,
     conjugating_map,
@@ -66,14 +64,12 @@ from .foliation import (
     coverage_statistic,
     coverage_sweep,
     genus2_group,
-    leafwise_F0,
     orbit_sample,
     projective_act,
     projective_f,
     random_projective_point,
     relation_residual,
     short_word_scan,
-    tautological_eval,
 )
 from .moebius import (
     ElementClass,

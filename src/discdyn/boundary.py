@@ -14,8 +14,8 @@ to z = -1, angle pi, exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,17 @@ DEDUP = 1e-14
 
 class InvalidPartitionError(ValueError):
     pass
+
+
+def _dedup_mask(br: np.ndarray) -> np.ndarray:
+    """Keep-mask over sorted cuts in [0, 2pi): of two cuts closer than DEDUP,
+    cyclically, the upper one survives.  The sliver piece between them goes
+    with its value; the piece below keeps its value up to the surviving cut."""
+    keep = np.ones(br.size, dtype=bool)
+    keep[:-1] = np.diff(br) >= DEDUP
+    if br.size > 1 and (br[0] + TWO_PI - br[-1]) < DEDUP and keep.sum() > 1:
+        keep[-1] = False
+    return keep
 
 
 def wrap_angle(s):
@@ -99,15 +110,9 @@ class BoundaryFunction:
         order = np.argsort(br, kind="stable")
         br = br[order]
         vals = vals[order]
-        if br.size > 1:
-            keep = np.ones(br.size, dtype=bool)
-            keep[:-1] = np.diff(br) >= DEDUP
-            if (br[0] + TWO_PI - br[-1]) < DEDUP and keep.sum() > 1:
-                keep[-1] = False
-            br = br[keep]
-            vals = vals[keep]
-        self.breakpoints = br
-        self.values = vals
+        keep = _dedup_mask(br)
+        self.breakpoints = br[keep]
+        self.values = vals[keep]
 
     @classmethod
     def constant(cls, c: complex) -> "BoundaryFunction":
@@ -193,16 +198,10 @@ def _check_unit_ball(values, tol: float = 1e-9):
 def merge_partition(f: BoundaryFunction, h: BoundaryFunction):
     """Common refinement: (breakpoints, f values, h values) per refined piece.
 
-    Values are read at piece midpoints: a cut can sit a few ulps below one
-    side's own breakpoint (dedup keeps the lower twin), and endpoint reads
-    would then pick up the previous piece for the whole width."""
+    Values are read at piece midpoints, so they do not depend on which of two
+    near-equal cuts the dedup keeps."""
     br = np.union1d(f.breakpoints, h.breakpoints)
-    if br.size > 1:
-        keep = np.ones(br.size, dtype=bool)
-        keep[1:] = np.diff(br) >= DEDUP
-        if (br[0] + TWO_PI - br[-1]) < DEDUP:
-            keep[-1] = False
-        br = br[keep]
+    br = br[_dedup_mask(br)]
     if br.size == 0:
         br = np.array([0.0])
     mids = br + 0.5 * np.diff(br, append=br[0] + TWO_PI)
@@ -344,12 +343,7 @@ def from_line_segments(
         cuts.append(a)
         cuts.append(float(wrap_angle(a + w)))
     br = np.array(sorted(set(cuts)))
-    if br.size > 1:
-        keep = np.ones(br.size, dtype=bool)
-        keep[1:] = np.diff(br) >= DEDUP
-        if (br[0] + TWO_PI - br[-1]) < DEDUP:
-            keep[-1] = False
-        br = br[keep]
+    br = br[_dedup_mask(br)]
     widths = np.diff(br, append=br[0] + TWO_PI)
     mids = br + 0.5 * widths
     out = np.zeros(br.size, dtype=complex)
@@ -364,30 +358,3 @@ def arc_length_of_region(segments: Iterable[tuple[float, float]]) -> float:
     arcs = [_segment_to_arc(float(lo), float(hi)) for lo, hi in segments]
     _check_disjoint_arcs(arcs)
     return float(sum(w for _, w in arcs))
-
-
-@dataclass
-class LazyBoundaryFunction:
-    """Boundary function known exactly everywhere but materialized finitely.
-
-    `represented` equals the evaluator off the `unrepresented` arcs; on those
-    arcs the true values are only known to satisfy |value| <= tail_bound (the
-    materialized placeholder there is 0).
-    """
-
-    evaluator: Callable[[float], complex]
-    represented: BoundaryFunction
-    unrepresented: tuple[Arc, ...] = ()
-    tail_bound: float = 0.0
-
-    def evaluate(self, s: float) -> complex:
-        return complex(self.evaluator(float(s)))
-
-    def materialized(self) -> BoundaryFunction:
-        return self.represented
-
-    def in_unrepresented(self, s: float) -> bool:
-        return any(arc.contains_angle(s) for arc in self.unrepresented)
-
-    def unrepresented_length(self) -> float:
-        return float(sum(arc.theta for arc in self.unrepresented))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .boundary import (
     TWO_PI,
     Arc,
     BoundaryFunction,
-    LazyBoundaryFunction,
+    _segment_to_arc,
     angle_to_line,
     arc_length_of_region,
     compose_with_moebius,
@@ -223,10 +223,19 @@ def _shifted(segs, scale=1.0, shift=0.0):
 
 
 def _arc_of_line_interval(lo: float, hi: float) -> Arc:
-    a = line_to_angle(lo)
-    b = line_to_angle(hi)
-    width = (b - a) % TWO_PI
+    a, width = _segment_to_arc(lo, hi)
     return Arc(complex(math.cos(a), math.sin(a)), width)
+
+
+def _translate_window_segments(f, kind, rate, n, k, m):
+    """Segments of the m-th translate term (window restriction of f moved by gamma^{mk})."""
+    if kind == "hyperbolic":
+        s = rate ** (m * k)
+        return _shifted(_restrict_line(f, 1.0 / n, float(n)), scale=s) + _shifted(
+            _restrict_line(f, -float(n), -1.0 / n), scale=s
+        )
+    shift = -m * k * rate
+    return _shifted(_restrict_line(f, -float(n), float(n)), shift=shift)
 
 
 # --- dense seed --------------------------------------------------------------
@@ -234,7 +243,7 @@ def _arc_of_line_interval(lo: float, hi: float) -> Arc:
 
 def build_dense_seed(
     family: TargetFamily, sched: DenseOrbitSchedule, level: int | None = None
-) -> LazyBoundaryFunction:
+) -> HarmonicFunction:
     """The seed boundary function whose translates sweep past every family member.
 
     Hyperbolic: value f_n(lam^{k_n} x) on +-[a_n, b_n], 0 on the gaps, 0 above
@@ -255,16 +264,12 @@ def build_dense_seed(
     if not 1 <= lvl <= n_family:
         raise ValueError(f"level {lvl} outside 1..{n_family}")
 
+    # window n holds the m = -1 translate term of f_n with period exponent k_n
     segs = []
     for n in range(1, lvl + 1):
-        fn = family.functions[n - 1]
-        if sched.kind == "hyperbolic":
-            scale = sched.rate ** (-sched.ks[n - 1])
-            segs += _shifted(_restrict_line(fn, 1.0 / n, float(n)), scale=scale)
-            segs += _shifted(_restrict_line(fn, -float(n), -1.0 / n), scale=scale)
-        else:
-            shift = sched.rate * sched.ks[n - 1]
-            segs += _shifted(_restrict_line(fn, -float(n), float(n)), shift=shift)
+        segs += _translate_window_segments(
+            family.functions[n - 1], sched.kind, sched.rate, n, sched.ks[n - 1], -1
+        )
     mat = from_line_segments(segs)
 
     if lvl == n_family:
@@ -279,37 +284,7 @@ def build_dense_seed(
         unrep = (_arc_of_line_interval(lo, math.inf),)
         tail = 1.0
 
-    funcs = family.functions
-    ks = sched.ks
-    rate = sched.rate
-    kind = sched.kind
-
-    def evaluator(s: float) -> complex:
-        x = angle_to_line(s)
-        if math.isinf(x):
-            return 0.0
-        for n in range(1, n_family + 1):
-            if kind == "hyperbolic":
-                if x == 0.0:
-                    return 0.0
-                y = x * rate ** ks[n - 1]
-                if 1.0 / n <= abs(y) <= n:
-                    return funcs[n - 1].evaluate(line_to_angle(y))
-            else:
-                y = x - rate * ks[n - 1]
-                if -n <= y <= n:
-                    return funcs[n - 1].evaluate(line_to_angle(y))
-        return 0.0
-
-    return LazyBoundaryFunction(evaluator, mat, unrep, tail)
-
-
-def build_parabolic_dense_seed(
-    family: TargetFamily, sched: DenseOrbitSchedule, level: int | None = None
-) -> LazyBoundaryFunction:
-    if sched.kind != "parabolic":
-        raise NotParabolicError("schedule is not parabolic")
-    return build_dense_seed(family, sched, level)
+    return HarmonicFunction(mat, unrep, tail)
 
 
 def translate_boundary(phi: HarmonicFunction, g: MoebiusElement) -> HarmonicFunction:
@@ -350,8 +325,7 @@ def dense_orbit_report(
     n_levels = len(family) if n_levels is None else int(n_levels)
     if n_levels > len(family):
         raise ValueError("more levels requested than family members")
-    lazy = build_dense_seed(family, sched, min(len(family), n_levels + 2))
-    phi_inf = HarmonicFunction.from_lazy(lazy)
+    phi_inf = build_dense_seed(family, sched, min(len(family), n_levels + 2))
     rows = []
     for n in range(1, n_levels + 1):
         k = sched.ks[n - 1]
@@ -375,7 +349,7 @@ def dense_orbit_report(
 class PeriodicApproximant:
     """Boundary function with f o gamma^k = f at the representation level."""
 
-    function: LazyBoundaryFunction
+    function: HarmonicFunction
     gamma: MoebiusElement
     kind: str
     rate: float
@@ -395,7 +369,7 @@ class PeriodicApproximant:
 
     def l1_defect(self) -> tuple[float, float]:
         """(integral of |f - f_eps| over the circle, error bar)."""
-        defect = l1_distance(self.source, self.function.represented)
+        defect = l1_distance(self.source, self.function.boundary)
         bar = self.function.unrepresented_length() * (
             self.function.tail_bound + self.source.sup_norm()
         )
@@ -403,22 +377,7 @@ class PeriodicApproximant:
 
     def metric_defect(self, ex: CompactExhaustion | None = None) -> tuple[float, float]:
         ex = ex or CompactExhaustion()
-        return metric_distance(
-            HarmonicFunction(self.source),
-            HarmonicFunction.from_lazy(self.function),
-            ex,
-        )
-
-
-def _translate_window_segments(f, kind, rate, n, k, m):
-    """Segments of the m-th translate term (window restriction of f moved by gamma^{mk})."""
-    if kind == "hyperbolic":
-        s = rate ** (m * k)
-        return _shifted(_restrict_line(f, 1.0 / n, float(n)), scale=s) + _shifted(
-            _restrict_line(f, -float(n), -1.0 / n), scale=s
-        )
-    shift = -m * k * rate
-    return _shifted(_restrict_line(f, -float(n), float(n)), shift=shift)
+        return metric_distance(HarmonicFunction(self.source), self.function, ex)
 
 
 def _pick_n(epsilon: float, kind: str) -> int:
@@ -523,38 +482,8 @@ def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicAp
     for m in range(-m_cap, m_cap + 1):
         segs += _translate_window_segments(f, kind, rate, n, k, m)
     mat = from_line_segments(segs)
-    sup = f.sup_norm()
-
-    if kind == "hyperbolic":
-        step = rate**k
-
-        def evaluator(s: float) -> complex:
-            x = angle_to_line(s)
-            if x == 0.0 or math.isinf(x):
-                return 0.0
-            m0 = round(math.log(abs(x)) / math.log(step))
-            for mm in (m0 - 1, m0, m0 + 1):
-                y = x * step ** (-mm)
-                if 1.0 / n <= abs(y) <= n:
-                    return f.evaluate(line_to_angle(y))
-            return 0.0
-
-    else:
-        stride = k * rate
-
-        def evaluator(s: float) -> complex:
-            x = angle_to_line(s)
-            if math.isinf(x):
-                return 0.0
-            m0 = round(-x / stride)
-            for mm in (m0 - 1, m0, m0 + 1):
-                y = x + mm * stride
-                if -n <= y <= n:
-                    return f.evaluate(line_to_angle(y))
-            return 0.0
-
-    lazy = LazyBoundaryFunction(evaluator, mat, arcs, sup)
-    return PeriodicApproximant(lazy, gamma, kind, rate, n, k, m_cap, f)
+    function = HarmonicFunction(mat, arcs, f.sup_norm())
+    return PeriodicApproximant(function, gamma, kind, rate, n, k, m_cap, f)
 
 
 def periodic_report(

@@ -227,7 +227,7 @@ def cmd_periodic(args) -> int:
         approx = chaos.build_periodic_approximant(f, args.epsilon, gamma)
     l1, l1_bar = approx.l1_defect()
     dist, bar = approx.metric_defect()
-    _save_boundary(args.out + ".json", approx.function.represented, _config_dict("periodic", args))
+    _save_boundary(args.out + ".json", approx.function.boundary, _config_dict("periodic", args))
     _write_csv(
         args.out + ".csv",
         "periodic",

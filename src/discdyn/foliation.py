@@ -1,6 +1,5 @@
 """Surface-group machinery: a concrete genus-2 group acting on the disc, orbit
-sampling on the arc cylinder, the leafwise harmonic measure function, the
-tautological evaluation map, and the projective-cone model with its invariant
+sampling on the arc cylinder, and the projective-cone model with its invariant
 fiberwise-holomorphic function.
 
 The group is certified numerically, not assumed: the eight-term side-pairing
@@ -19,10 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import moebius
-from .arcspace import Arc, act_arc, act_arcs, big_F  # noqa: F401  (act_arc is re-exported)
-from .boundary import TWO_PI, BoundaryFunction
+from .arcspace import Arc, act_arc, act_arcs  # noqa: F401  (act_arc is re-exported)
+from .boundary import TWO_PI
 from .moebius import MoebiusElement
-from .poisson import extend
 
 
 class SingularPointError(ValueError):
@@ -124,15 +122,16 @@ class OrbitSample:
 
 
 def _random_reduced_word(rng, n_letters: int, length: int) -> list[int]:
+    """Uniform reduced word; the letters after the first, each drawn from the
+    n_letters - 1 that do not cancel its predecessor, come from one draw."""
+    if length == 0:
+        return []
     half = n_letters // 2
-    word = []
-    prev = -1
-    for _ in range(length):
-        pick = int(rng.integers(0, n_letters - (1 if prev >= 0 else 0)))
-        if prev >= 0 and pick >= (prev ^ half):
+    word = [int(rng.integers(0, n_letters))]
+    for pick in rng.integers(0, n_letters - 1, size=length - 1).tolist():
+        if pick >= word[-1] ^ half:
             pick += 1
         word.append(pick)
-        prev = pick
     return word
 
 
@@ -223,24 +222,6 @@ def coverage_sweep(
         cells |= _occupied_cells(_apply_words(letters, words, base), grid)
         rows.append((length, len(cells) / (grid * grid)))
     return rows
-
-
-# --- leafwise functions ---------------------------------------------------------
-
-
-def leafwise_F0(z: complex, x: Arc) -> float:
-    """Harmonic measure of the arc, seen at z: the bundle's leafwise harmonic
-    function.  Constant 0 and 1 on the two boundary circles of the cylinder."""
-    return big_F(z, x)
-
-
-def tautological_eval(z: complex, f: BoundaryFunction) -> complex:
-    """Evaluation of the universal fiber function: the extension of f at z.
-
-    Equivariant by the change-of-variables identity: evaluating at g^{-1}(z)
-    equals evaluating the g-translated data at z.
-    """
-    return extend(f, z)
 
 
 # --- projective cone model ------------------------------------------------------

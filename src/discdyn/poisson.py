@@ -26,7 +26,6 @@ from .boundary import (
     TWO_PI,
     Arc,
     BoundaryFunction,
-    LazyBoundaryFunction,
     compose_with_moebius,
 )
 from .moebius import ElementClass, MoebiusElement
@@ -128,10 +127,6 @@ class HarmonicFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "unrepresented", tuple(self.unrepresented))
-
-    @classmethod
-    def from_lazy(cls, lbf: LazyBoundaryFunction) -> "HarmonicFunction":
-        return cls(lbf.represented, tuple(lbf.unrepresented), lbf.tail_bound)
 
     def __call__(self, z: complex) -> complex:
         return extend(self.boundary, z)

@@ -156,7 +156,7 @@ def test_periodic_point_certificate():
             ap = build_periodic_approximant(f, eps, g)
             m = ap.m_materialized
             gk = hyperbolic_multiplier(2.0**ap.k)
-            slid = compose_with_moebius(ap.function.represented, gk)
+            slid = compose_with_moebius(ap.function.boundary, gk)
             exact = exact and slid.allclose(ap.materialize_range(-m - 1, m - 1), tol=1e-9)
             dist, bar = ap.metric_defect()
             worst_slack = max(worst_slack, (dist + bar) - eps)

@@ -136,6 +136,29 @@ class TestAlgebra:
         assert np.allclose(fv, f.evaluate(mids))
         assert np.allclose(gv, g.evaluate(mids))
 
+    def test_one_dedup_rule(self):
+        # cuts 5e-15 apart, and a pair 4.4e-15 apart across 2pi: every
+        # constructor keeps the upper cut of each pair and drops the sliver
+        bottom, lo, hi, top = 2e-15, 1.0, 1.0 + 5e-15, TWO_PI - 3e-15
+        cuts = [bottom, lo, hi, 3.0, top]
+        survivors = [bottom, hi, 3.0]
+        f = BoundaryFunction(cuts, [0.5, 0.25j, -1.0, 0.75, 1j])
+        assert f.breakpoints.tolist() == survivors
+        assert f.values.tolist() == [0.5, -1.0, 0.75]
+        br, gv, hv = merge_partition(
+            BoundaryFunction([bottom, lo, 3.0], [0.5, 0.25j, 0.75]),
+            BoundaryFunction([hi, top], [-1.0, 1j]),
+        )
+        assert br.tolist() == survivors
+        assert gv.tolist() == [0.5, 0.25j, 0.75]
+        assert hv.tolist() == [1j, -1.0, -1.0]
+        xs = [angle_to_line(s) for s in cuts]
+        vals = [0.5, 0.25j, -1.0, 0.75, 1j]
+        segs = [(xs[i], xs[(i + 1) % 5], vals[i]) for i in range(5)]
+        line = from_line_segments(segs)
+        assert line.breakpoints.tolist() == survivors
+        assert line.values.tolist() == [0.5, -1.0, 0.75]
+
     def test_allclose_ignores_slivers(self):
         f = BoundaryFunction([0.0, 1.0, 2.0], [0.3, 0.7, 0.1])
         g = BoundaryFunction([0.0, 1.0 + 1e-13, 2.0], [0.3, 0.7, 0.1])

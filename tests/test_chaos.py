@@ -14,7 +14,6 @@ from discdyn import (
     TargetFamily,
     act_line,
     build_dense_seed,
-    build_parabolic_dense_seed,
     build_parabolic_periodic,
     build_periodic_approximant,
     compose,
@@ -127,22 +126,22 @@ class TestDenseSeed:
     def test_agrees_with_rescaled_targets_on_windows(self):
         fam = TargetFamily.generate(4, 7)
         sched = make_schedule(2.0, 4)
-        lazy = build_dense_seed(fam, sched)
+        seed = build_dense_seed(fam, sched).boundary
         for n in range(2, 5):
             k = sched.ks[n - 1]
             f_n = fam.functions[n - 1]
             for x in np.linspace(sched.a(n) * 1.01, sched.b(n) * 0.99, 7):
                 s = line_to_angle(float(x))
                 expect = f_n.evaluate(line_to_angle(float(2.0**k * x)))
-                assert abs(lazy.evaluate(s) - expect) < 1e-12
+                assert abs(seed.evaluate(s) - expect) < 1e-12
 
     def test_zero_between_windows(self):
         fam = TargetFamily.generate(3, 7)
         sched = make_schedule(2.0, 3)
-        lazy = build_dense_seed(fam, sched)
+        seed = build_dense_seed(fam, sched).boundary
         gap = 0.5 * (sched.b(2) + sched.a(1))  # strictly between windows 2 and 1
-        assert lazy.evaluate(line_to_angle(gap)) == 0.0
-        assert lazy.evaluate(line_to_angle(1e9)) == 0.0
+        assert seed.evaluate(line_to_angle(gap)) == 0.0
+        assert seed.evaluate(line_to_angle(1e9)) == 0.0
 
     def test_unrepresented_shrinks_with_level(self):
         fam = TargetFamily.generate(6, 7)
@@ -208,9 +207,9 @@ class TestPeriodicApproximant:
         approx = build_periodic_approximant(f, 0.3, hyperbolic_multiplier(2.0))
         M = approx.m_materialized
         gk = hyperbolic_multiplier(2.0**approx.k)
-        down = compose_with_moebius(approx.function.represented, gk)
+        down = compose_with_moebius(approx.function.boundary, gk)
         assert down.allclose(approx.materialize_range(-M - 1, M - 1), tol=1e-9)
-        up = compose_with_moebius(approx.function.represented, inverse(gk))
+        up = compose_with_moebius(approx.function.boundary, inverse(gk))
         assert up.allclose(approx.materialize_range(-M + 1, M + 1), tol=1e-9)
 
     def test_parabolic_periodicity_slides_up(self):
@@ -220,7 +219,7 @@ class TestPeriodicApproximant:
         approx = build_parabolic_periodic(f, 0.3, parabolic_shift(1.0))
         M = approx.m_materialized
         pk = parabolic_shift(float(approx.k))
-        slid = compose_with_moebius(approx.function.represented, pk)
+        slid = compose_with_moebius(approx.function.boundary, pk)
         assert slid.allclose(approx.materialize_range(-M + 1, M + 1), tol=1e-9)
 
     @pytest.mark.parametrize("eps", [0.3, 0.1])

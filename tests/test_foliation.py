@@ -13,6 +13,7 @@ from discdyn import (
     SingularPointError,
     act_arc,
     act_disc,
+    big_F,
     classify,
     compose_with_moebius,
     coverage_statistic,
@@ -20,7 +21,6 @@ from discdyn import (
     extend,
     genus2_group,
     inverse,
-    leafwise_F0,
     orbit_sample,
     projective_act,
     projective_f,
@@ -28,7 +28,6 @@ from discdyn import (
     random_projective_point,
     relation_residual,
     short_word_scan,
-    tautological_eval,
 )
 
 from discdyn.foliation import _apply_words, _random_reduced_word
@@ -89,6 +88,27 @@ class TestOrbitSampling:
         s = orbit_sample(genus2_group(), Arc(1.0 + 0j, math.pi / 2), 500, 8, seed=2)
         c = coverage_statistic(s)
         assert 0.0 < c < 1.0
+
+    def test_word_draw_matches_letter_by_letter_draws(self):
+        # reference: one scalar draw per letter, as words were drawn before
+        def scalar_word(rng, n_letters, length):
+            half = n_letters // 2
+            word = []
+            prev = -1
+            for _ in range(length):
+                pick = int(rng.integers(0, n_letters - (1 if prev >= 0 else 0)))
+                if prev >= 0 and pick >= (prev ^ half):
+                    pick += 1
+                word.append(pick)
+                prev = pick
+            return word
+
+        for seed in range(100):
+            fast = np.random.default_rng(seed)
+            ref = np.random.default_rng(seed)
+            for length in range(21):
+                assert _random_reduced_word(fast, 8, length) == scalar_word(ref, 8, length)
+            assert fast.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sweep_monotone(self, seed):
@@ -161,8 +181,8 @@ class TestLeafwise:
         for _ in range(10):
             z = rng.uniform(0, 0.8) * np.exp(1j * rng.uniform(0, TWO_PI))
             zeta = np.exp(1j * rng.uniform(0, TWO_PI))
-            assert leafwise_F0(complex(z), Arc(zeta, 0.0)) == 0.0
-            assert leafwise_F0(complex(z), Arc(zeta, TWO_PI)) == pytest.approx(1.0)
+            assert big_F(complex(z), Arc(zeta, 0.0)) == 0.0
+            assert big_F(complex(z), Arc(zeta, TWO_PI)) == pytest.approx(1.0)
 
     def test_F0_generator_invariance(self, rng):
         G = genus2_group()
@@ -173,13 +193,8 @@ class TestLeafwise:
                 g = inverse(g)
             z = rng.uniform(0, 0.7) * np.exp(1j * rng.uniform(0, TWO_PI))
             x = Arc(np.exp(1j * rng.uniform(0, TWO_PI)), rng.uniform(0.3, TWO_PI - 0.3))
-            worst = max(worst, abs(leafwise_F0(act_disc(g, complex(z)), act_arc(g, x)) - leafwise_F0(complex(z), x)))
+            worst = max(worst, abs(big_F(act_disc(g, complex(z)), act_arc(g, x)) - big_F(complex(z), x)))
         assert worst < 1e-9
-
-    def test_tautological_eval_is_extension(self, rng):
-        f = random_boundary(rng)
-        z = 0.3 - 0.2j
-        assert tautological_eval(z, f) == extend(f, z)
 
     def test_tautological_equivariance(self, rng):
         worst = 0.0
@@ -187,13 +202,13 @@ class TestLeafwise:
             g = random_element(rng)
             z = rng.uniform(0, 0.6) * np.exp(1j * rng.uniform(0, TWO_PI))
             f = random_boundary(rng)
-            lhs = tautological_eval(act_disc(inverse(g), complex(z)), f)
-            rhs = tautological_eval(complex(z), compose_with_moebius(f, inverse(g)))
+            lhs = extend(f, act_disc(inverse(g), complex(z)))
+            rhs = extend(compose_with_moebius(f, inverse(g)), complex(z))
             worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-10
 
     def test_constant_fiber(self):
-        assert tautological_eval(0.2 + 0.4j, BoundaryFunction.constant(0.7)) == pytest.approx(0.7)
+        assert extend(BoundaryFunction.constant(0.7), 0.2 + 0.4j) == pytest.approx(0.7)
 
 
 class TestProjectiveModel:

@@ -10,4 +10,6 @@ def test_library_tour_runs():
     tour = re.search(r"```python\n(.*?)```", README.read_text(), re.DOTALL).group(1)
     scope = {}
     exec(compile(tour, str(README), "exec"), scope)
-    assert scope["dist"] >= 0.0 and scope["bar"] >= 0.0
+    # g fixes +-1 and moves the tour's data, whose jumps sit at +-i
+    assert scope["dist"] > scope["bar"]
+    assert sum(scope["approx"].metric_defect()) <= 0.1
