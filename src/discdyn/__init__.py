@@ -98,12 +98,10 @@ from .poisson import (
     HarmonicFunction,
     NearBoundaryError,
     NonDivergentError,
-    StencilError,
     extend,
     extend_many,
     harmonic_conjugate,
     harmonic_conjugate_many,
-    harmonicity_residual,
     limit_diagnostic,
     metric_distance,
     metric_norm,

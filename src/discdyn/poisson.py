@@ -11,7 +11,15 @@ finite sums of V differences; no quadrature is involved (adaptive quadrature
 is used only as an independent oracle in the test suite).
 
 The metric is ||phi|| = sum_n sup_{|z|<=1-1/n} |phi| / (n^2 2^n), truncated at
-n_max with a certified tail bound; every reported value carries an error bar.
+n_max, and is evaluated spectrally: with jumps J_j at s_j the data have
+Fourier coefficients c_k = sum_j J_j e^{-iks_j} / (2pi ik), computed once per
+call, and each circle |z| = r is one inverse FFT of c_k r^|k|.  Grid maxima
+become true sups through a bound on |d^2u/dt^2| read off the coefficients
+(at most J r / (pi (1-r)^2), J = sum |J_j|), with cells refined by the
+closed form.  Every reported value
+carries an error bar that is an upper bound by construction: the series tail,
+the unrepresented arcs, and per level the cell allowance, the truncation tail
+J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the FFT rounding.
 """
 
 from __future__ import annotations
@@ -33,31 +41,21 @@ from .moebius import ElementClass, MoebiusElement
 # sum_{n=1}^inf 1/(n^2 2^n), the metric norm of the constant 1 (dilogarithm at 1/2)
 NORM_OF_ONE = 0.5822405264650125
 
-_GRID_START = 256
-_GRID_CAP = 16384
-_GRID_TOL = 1e-8
+# spectral circle sups (see metric_norm)
+_TAIL_TOL = 1e-15  # truncation tail of the damped series on each circle
+_TERM_CAP = 1 << 13  # series terms beyond which a level is not computed
+_CHUNK_PAIRS = 1 << 18  # array entries formed at once: exponentials or circle points
+_SUP_BUDGET = 1e-11  # weighted cell allowance each level may leave in the bar
+_HALVINGS = 24  # refinement rounds per level
+_CELL_CAP = 1 << 10  # cells one round may halve on a circle; past it the excess is in the bar
 
 
 class NearBoundaryError(ValueError):
     pass
 
 
-class StencilError(ValueError):
-    pass
-
-
 class NonDivergentError(ValueError):
     pass
-
-
-def poisson_kernel(z: complex, s) -> float:
-    """(1-|z|^2)/|e^{is}-z|^2, positive, mean 1 over the circle."""
-    z = complex(z)
-    if abs(z) > 1.0 - 1e-12:
-        raise NearBoundaryError(f"|z| = {abs(z)} too close to the boundary")
-    s = np.asarray(s, dtype=float)
-    out = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * s) - z) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def angle_antiderivative(z, s):
@@ -159,49 +157,199 @@ class CompactExhaustion:
         # sum_{n > n_max} 1/(n^2 2^n) <= 2^-n_max
         return 2.0 ** (-self.n_max)
 
-    def radius(self, n: int) -> float:
+    def radius(self, n):
+        """1 - 1/n; n may be an integer array."""
         return 1.0 - 1.0 / n
 
 
-def _circle_sup(f: BoundaryFunction, radius: float) -> tuple[float, float]:
-    """Sup of |extension| on |z| = radius via a doubling angular grid.
+def _fourier_coefficients(f: BoundaryFunction, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients (c_0..c_k, c_0 c_{-1}..c_{-k}) of non-constant data.
 
-    Returns (sup estimate, last refinement change).  |phi| is subharmonic, so
-    the circle carries the sup over the whole closed disc of that radius.
+    With jumps J_j = v_j - v_{j-1} at s_j, c_k = sum_j J_j e^{-iks_j} / (2pi ik).
+    The exponentials come in blocks of b ~ sqrt(k) terms as
+    e^{-i(k0+j)s} = e^{-ik0 s} e^{-ijs}, at most _CHUNK_PAIRS of them at once.
     """
-    if f.breakpoints.size == 0:
-        return abs(complex(f.values[0])), 0.0
-    m = _GRID_START
-    prev = None
-    best = 0.0
-    while True:
-        ang = np.arange(m) * (TWO_PI / m)
-        vals = extend_many(f, radius * np.exp(1j * ang))
-        cur = float(np.max(np.abs(vals)))
-        best = max(best, cur)
-        if prev is not None:
-            delta = abs(cur - prev)
-            if delta <= _GRID_TOL * max(1.0, cur) or m >= _GRID_CAP:
-                return best, delta
-        prev = cur
-        m *= 2
+    br = f.breakpoints
+    jumps = f.values - np.roll(f.values, 1)
+    both = np.stack([jumps, jumps.conj()], axis=1)
+    pos = np.empty(k + 1, dtype=complex)
+    neg = np.empty(k + 1, dtype=complex)
+    pos[0] = neg[0] = f.mean()
+    b = max(1, min(math.isqrt(k), _CHUNK_PAIRS // br.size))
+    table = np.exp(-1j * np.outer(np.arange(b, dtype=float), br))
+    starts = np.arange(1, k + 1, b)
+    per_chunk = max(1, _CHUNK_PAIRS // (b * br.size))
+    for i in range(0, starts.size, per_chunk):
+        k0 = int(starts[i])
+        bases = np.exp(-1j * np.outer(starts[i : i + per_chunk].astype(float), br))
+        e = (bases[:, None, :] * table).reshape(-1, br.size)[: k + 1 - k0]
+        sums = e @ both
+        ks = np.arange(k0, k0 + e.shape[0], dtype=float)
+        pos[k0 : k0 + ks.size] = sums[:, 0] / (TWO_PI * 1j * ks)
+        # sum_j J_j e^{+iks_j} = conj(sum_j conj(J_j) e^{-iks_j})
+        neg[k0 : k0 + ks.size] = sums[:, 1].conj() / (-TWO_PI * 1j * ks)
+    return pos, neg
+
+
+def _truncation_tail(jump_sum: float, radii, k):
+    """J r^{k+1} / (pi (k+1) (1-r)), a bound on sum_{|j|>k} |c_j| r^|j|."""
+    return jump_sum * radii ** (k + 1.0) / (math.pi * (k + 1.0) * (1.0 - radii))
+
+
+def _terms_needed(jump_sum: float, radii: np.ndarray) -> np.ndarray:
+    """Least k per radius whose truncation tail is at most _TAIL_TOL."""
+    if jump_sum == 0.0:
+        return np.zeros(radii.shape, dtype=int)
+    # r^{k+1} <= _TAIL_TOL pi (1-r) / J already suffices, since 1/(k+1) <= 1
+    hi = np.maximum(0.0, np.ceil(
+        np.log(_TAIL_TOL * math.pi * (1.0 - radii) / jump_sum) / np.log(radii)) - 1.0)
+    lo = np.zeros_like(hi)
+    while np.any(lo < hi):
+        mid = np.floor(0.5 * (lo + hi))
+        ok = _truncation_tail(jump_sum, radii, mid) <= _TAIL_TOL
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1.0)
+    return hi.astype(int)
+
+
+def _grid_size(k: int) -> int:
+    """Least power of 2 with m >= max(256, 2k + 2): room for the terms |j| <= k."""
+    return max(256, 1 << (2 * k + 1).bit_length())
+
+
+def _circle_values(
+    pos: np.ndarray, neg: np.ndarray, radii, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped series sum_j c_j r^|j| e^{ijt} at t = 2pi i / m, one row per radius.
+
+    Uses every term that fits the grid, |j| <= min(k, m/2 - 1), and one
+    inverse FFT per row.  Also returns sum_j j^2 |c_j| r^|j| over the same
+    terms per radius, which bounds their second t-derivative.
+    """
+    k = min(pos.size - 1, m // 2 - 1)
+    damp = np.asarray(radii, dtype=float)[:, None] ** np.arange(k + 1.0)
+    spec = np.zeros((damp.shape[0], m), dtype=complex)
+    spec[:, : k + 1] = pos[: k + 1] * damp
+    spec[:, m - k :] = (neg[1 : k + 1] * damp[:, 1:])[:, ::-1]
+    d2 = damp @ (np.arange(k + 1.0) ** 2 * (np.abs(pos[: k + 1]) + np.abs(neg[: k + 1])))
+    return np.fft.ifft(spec, axis=1) * m, d2
+
+
+def _level_sups(
+    f: BoundaryFunction, pos: np.ndarray, neg: np.ndarray, radii: np.ndarray,
+    sizes: np.ndarray, tols: np.ndarray, jump_sum: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(grid max, error) of sup |u| on each circle |z| = radii[i], u the extension of f.
+
+    The true sup lies within error of the grid max.  |u| is subharmonic, so
+    the circle carries the sup over the closed disc of that radius.  Circle i
+    is sampled on sizes[i] points with the terms |j| <= k that fit.  With
+    |d^2u/dt^2| <= C = sum_{|j|<=k} j^2 |c_j| r^|j| + (J/pi) sum_{j>k} j r^j
+    (as |c_j| <= J/(2pi|j|); at most J r/(pi(1-r)^2)), a cell of width h has
+    sup at most max(|u(a)|, |u(b)|) + h^2 C / 8.  Cells whose bound exceeds
+    their circle's best value by more than tols[i] are halved, on all circles
+    at once, and their midpoints evaluated with the closed form `extend_many`.
+    A circle stops after _HALVINGS rounds, or when more than _CELL_CAP of its
+    cells are candidates.  error = the largest cell excess left, plus the
+    truncation tail J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the
+    series, the FFT and the closed form.
+    """
+    levels = radii.size
+    k = np.minimum(pos.size - 1, sizes // 2 - 1)
+    # the terms past k, plus 1e-9 of the crude bound J r/(pi(1-r)^2) for the
+    # rounding of the computed coefficients
+    rest_d2 = jump_sum / math.pi * (
+        radii ** (k + 1.0) * ((k + 1.0) - k * radii) + 1e-9 * radii
+    ) / (1.0 - radii) ** 2
+    curv = np.empty(levels)  # C / 8 per circle
+    best = np.empty(levels)
+    top = np.full(levels, -math.inf)  # largest final cell bound per circle
+    pool = []  # circles whose first cells may need halving: (level, |u| on the grid)
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        step = max(1, _CHUNK_PAIRS // m)
+        for i in range(0, rows.size, step):
+            chunk = rows[i : i + step]
+            u, d2 = _circle_values(pos, neg, radii[chunk], m)
+            vals = np.abs(u)
+            curv[chunk] = (rest_d2[chunk] + d2) / 8.0
+            best[chunk] = vals.max(axis=1)
+            allow = (TWO_PI / m) ** 2 * curv[chunk]
+            top[chunk] = np.where(allow > tols[chunk], -math.inf, best[chunk] + allow)
+            pool += [(lev, row) for lev, row, a in zip(chunk, vals, allow) if a > tols[lev]]
+    if pool:
+        lev = np.concatenate([np.full(row.size, l) for l, row in pool])
+        h = np.concatenate([np.full(row.size, TWO_PI / row.size) for _, row in pool])
+        start = np.concatenate([np.arange(row.size) * (TWO_PI / row.size)
+                                for _, row in pool])
+        left = np.concatenate([row for _, row in pool])
+        right = np.concatenate([np.roll(row, -1) for _, row in pool])
+        for rnd in range(_HALVINGS + 1):
+            bound = np.maximum(left, right) + h * h * curv[lev]
+            over = bound > best[lev] + tols[lev]
+            if rnd == _HALVINGS:
+                over[:] = False
+            else:
+                over &= (np.bincount(lev[over], minlength=levels) <= _CELL_CAP)[lev]
+            np.maximum.at(top, lev[~over], bound[~over])
+            if not over.any():
+                break
+            lev, start, left, right = lev[over], start[over], left[over], right[over]
+            h = 0.5 * h[over]
+            z = radii[lev] * np.exp(1j * (start + h))
+            step = max(1, _CHUNK_PAIRS // f.breakpoints.size)
+            mid = np.abs(np.concatenate(
+                [extend_many(f, z[i : i + step]) for i in range(0, z.size, step)]))
+            np.maximum.at(best, lev, mid)
+            start = np.concatenate([start, start + h])
+            lev, h = np.concatenate([lev, lev]), np.concatenate([h, h])
+            left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+    tail = _truncation_tail(jump_sum, radii, k)
+    rounding = 1e-14 * np.log2(sizes) * (
+        abs(pos[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii)) + 1.0
+    ) + 1e-15 * float(np.sum(np.abs(f.values)))
+    return best, (top - best) + tail + rounding
 
 
 def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, float]:
     """Truncated metric norm with a certified error bar.
 
-    value = sum_{n<=n_max} sup_{K_n}|phi_materialized| / (n^2 2^n)
-    bar   = series tail + unrepresented-region bound + grid allowance.
+    value = sum_{n<=n_max} w_n sup_{K_n}|phi_materialized|, w_n = 1/(n^2 2^n).
+    The Fourier coefficients of the boundary data are computed once; each
+    circle |z| = 1 - 1/n is one inverse FFT of the damped series, refined
+    cell by cell to a true sup (see `_level_sups`) with a weighted budget of
+    _SUP_BUDGET per level.  The bar is the sum of
+
+    - the series tail sum_{n>n_max} w_n times sup|phi|;
+    - the unrepresented arcs: their tail bound times the Poisson kernel mass
+      they can carry on each K_n;
+    - sum_n w_n (cell allowance + truncation tail + rounding), the rounding
+      covering the series, the FFT and the closed-form midpoints.
+
+    Levels needing more than _TERM_CAP series terms report the last computed
+    level's sup (a lower bound, since K_n grows) and add w_n times the gap up
+    to sup|f| to the bar.
     """
     f = phi.boundary
     w = ex.weights()
     sups = np.empty(ex.n_max)
-    sups[0] = abs(extend(f, 0.0))
-    grid_slack = 0.0
-    for n in range(2, ex.n_max + 1):
-        sup_n, delta = _circle_sup(f, ex.radius(n))
-        sups[n - 1] = sup_n
-        grid_slack += w[n - 1] * delta
+    errs = np.zeros(ex.n_max)
+    if f.breakpoints.size == 0:
+        sups[:] = abs(complex(f.values[0]))
+    else:
+        jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
+        radii = ex.radius(np.arange(2, ex.n_max + 1))
+        terms = _terms_needed(jump_sum, radii)
+        done = 1 + int(np.count_nonzero(terms <= _TERM_CAP))  # terms grow with n
+        pos, neg = _fourier_coefficients(f, int(terms[done - 2]) if done > 1 else 0)
+        sups[0] = abs(pos[0])
+        errs[0] = 1e-14 * (abs(pos[0]) + 1.0) + 1e-15 * float(np.sum(np.abs(f.values)))
+        if done > 1:
+            sizes = np.array([_grid_size(int(k)) for k in terms[: done - 1]])
+            sups[1:done], errs[1:done] = _level_sups(
+                f, pos, neg, radii[: done - 1], sizes, _SUP_BUDGET / w[1:done], jump_sum
+            )
+        sups[done:] = sups[done - 1]
+        errs[done:] = max(f.sup_norm() - sups[done - 1], 0.0) + errs[done - 1]
     value = float(np.dot(w, sups))
     tail = ex.tail_coeff() * phi.sup_bound()
     unrep = 0.0
@@ -212,7 +360,7 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
             np.dot(w, np.minimum(1.0, kern * l / TWO_PI))
         )
         unrep += phi.tail_bound * ex.tail_coeff()  # same regions, truncated levels
-    bar = tail + unrep + grid_slack + _GRID_TOL
+    bar = tail + unrep + float(np.dot(w, errs))
     return value, float(bar)
 
 
@@ -265,16 +413,6 @@ def harmonic_conjugate_many(f: BoundaryFunction, zs) -> np.ndarray:
         du[-1] = u[0] - u[-1]
         out[i] = np.dot(du, vals) / TWO_PI
     return out.reshape(zs.shape)
-
-
-def harmonicity_residual(phi: HarmonicFunction, z: complex, h: float) -> float:
-    """5-point finite-difference Laplacian magnitude; O(h^2) for true harmonics."""
-    z = complex(z)
-    if abs(z) + 2.0 * h > 1.0 - 1e-6:
-        raise StencilError("stencil of radius 2h must stay inside |z| <= 1 - 1e-6")
-    pts = np.array([z + h, z - h, z + 1j * h, z - 1j * h, z])
-    v = phi.at(pts)
-    return abs((v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / (h * h))
 
 
 # --- iterated-action diagnostics --------------------------------------------

@@ -1,25 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import spence
 
 from discdyn import (
+    NORM_OF_ONE,
     Arc,
     BoundaryFunction,
     CompactExhaustion,
     HarmonicFunction,
     NearBoundaryError,
     NonDivergentError,
-    StencilError,
     extend,
     extend_many,
     harmonic_conjugate,
     harmonic_conjugate_many,
-    harmonicity_residual,
     hyperbolic_multiplier,
     indicator,
     l1_distance,
@@ -28,6 +29,7 @@ from discdyn import (
     metric_norm,
     rotation,
 )
+from discdyn import poisson
 
 from conftest import poisson_quad, random_boundary
 
@@ -90,21 +92,6 @@ class TestExtend:
 
 
 class TestHarmonicity:
-    def test_laplacian_residual_small(self, rng):
-        # stencil error is h^2 times a fourth derivative, which blows up
-        # toward the boundary; keep probes well inside
-        for _ in range(5):
-            f = random_boundary(rng)
-            phi = HarmonicFunction(f)
-            r = rng.uniform(0.0, 0.45)
-            z = r * np.exp(1j * rng.uniform(0, TWO_PI))
-            assert harmonicity_residual(phi, complex(z), 1e-3) < 1e-6
-
-    def test_stencil_must_fit(self, rng):
-        phi = HarmonicFunction(random_boundary(rng))
-        with pytest.raises(StencilError):
-            harmonicity_residual(phi, 0.95 + 0.0j, 0.2)
-
     def test_conjugate_gives_holomorphic_pair(self, rng):
         # f + i*conj(f) satisfies Cauchy-Riemann; residual is O(h^2)
         f = random_boundary(rng, real=True)
@@ -193,6 +180,115 @@ class TestMetric:
         _, bar1 = metric_norm(fuzzed, ex)
         assert bar1 > bar0
         assert fuzzed.unrepresented_length() == pytest.approx(0.02)
+
+
+def _oracle_lower(f, levels=12, grid=1024):
+    """Weighted lower bound on the 40-level norm from the closed form alone.
+
+    Levels 2..levels: max |extension| on a uniform grid of the circle, polished
+    by a bounded scalar search around the top 4 grid cells.  Every value is |u|
+    at a point of the disc, so no level is over-counted.  Deeper levels take
+    the last level's value, since the discs K_n grow with n.
+    """
+    w = CompactExhaustion().weights()
+    sups = np.empty(w.size)
+    sups[0] = abs(extend(f, 0.0))
+    ang = np.arange(grid) * (TWO_PI / grid)
+    for n in range(2, levels + 1):
+        r = 1.0 - 1.0 / n
+        vals = np.abs(extend_many(f, r * np.exp(1j * ang)))
+        best = float(vals.max())
+        for i in np.argsort(vals)[-4:]:
+            res = minimize_scalar(
+                lambda t: -abs(extend(f, r * np.exp(1j * t))),
+                bounds=(ang[i] - TWO_PI / grid, ang[i] + TWO_PI / grid),
+                method="bounded", options={"xatol": 1e-10},
+            )
+            best = max(best, -float(res.fun))
+        sups[n - 1] = best
+    sups[levels:] = sups[levels - 1]
+    return float(np.dot(w, sups))
+
+
+class TestSpectralSups:
+    def test_bar_covers_independent_oracle(self):
+        # the oracle shares no code with the spectral path; a grid estimate
+        # with a flat tolerance in place of a sup bound falls short of it
+        rng = np.random.default_rng(0x5B0)
+        ex = CompactExhaustion()
+        deep = 2.0 * float(np.sum(ex.weights()[12:]))
+        for pieces in np.geomspace(4, 720, 20).astype(int):
+            f = random_boundary(rng, int(pieces))
+            value, bar = metric_norm(HarmonicFunction(f), ex)
+            lower = _oracle_lower(f)
+            assert lower <= value + bar, (pieces, lower - value, bar)
+            assert value <= lower + deep * f.sup_norm()
+
+    def test_flat_modulus_is_bounded_in_time_and_memory(self):
+        # |u| of sampled e^{is} is nearly constant on every circle, so every
+        # cell stays a candidate; past the cell cap the excess goes into the bar
+        br = np.arange(360) * (TWO_PI / 360)
+        f = BoundaryFunction(br, 0.9 * np.exp(1j * (br + TWO_PI / 720)))
+        tracemalloc.start()
+        try:
+            value, bar = metric_norm(HarmonicFunction(f), CompactExhaustion())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000 * 8
+        assert 0.0 <= bar <= 1e-6
+        assert _oracle_lower(f) <= value + bar
+
+    @pytest.mark.parametrize("pieces", [4, 128, 720])
+    def test_series_matches_closed_form(self, pieces):
+        rng = np.random.default_rng(pieces)
+        f = random_boundary(rng, pieces)
+        jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
+        radii = 1.0 - 1.0 / np.array([2.0, 12.0, 40.0])
+        terms = poisson._terms_needed(jump_sum, radii)
+        pos, neg = poisson._fourier_coefficients(f, int(terms[-1]))
+        for r, k in zip(radii, terms):
+            m = poisson._grid_size(int(k))
+            series, _ = poisson._circle_values(pos, neg, [r], m)
+            closed = extend_many(f, r * np.exp(1j * np.arange(m) * (TWO_PI / m)))
+            assert np.max(np.abs(series[0] - closed)) <= 1e-13
+
+    def test_constants_are_exact(self):
+        ex = CompactExhaustion()
+        one, bar1 = metric_norm(HarmonicFunction(BoundaryFunction.constant(1.0)), ex)
+        zero, bar0 = metric_norm(HarmonicFunction(BoundaryFunction.constant(0.0)), ex)
+        assert abs(one - NORM_OF_ONE) <= 1e-15
+        assert zero == 0.0
+        assert 0.0 <= bar1 <= 1e-12 and 0.0 <= bar0 <= 1e-12
+
+    @pytest.mark.parametrize("pieces", [64, 720])
+    def test_deep_exhaustion_is_consistent_and_bounded(self, pieces):
+        # 4M float pairs is the chunk of extend_many; the spectral path stays under it
+        f = HarmonicFunction(random_boundary(np.random.default_rng(pieces), pieces))
+        v40, b40 = metric_norm(f, CompactExhaustion(n_max=40))
+        tracemalloc.start()
+        try:
+            v200, b200 = metric_norm(f, CompactExhaustion(n_max=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000 * 8
+        assert v200 + b200 >= v40
+        assert v200 <= v40 + b40
+
+    def test_levels_past_the_term_cap_are_bounded_not_dropped(self, monkeypatch):
+        # levels past the cap repeat the last computed sup (a lower bound) and
+        # carry the gap up to sup|f| in the bar
+        f = HarmonicFunction(random_boundary(np.random.default_rng(11), 16))
+        ex = CompactExhaustion()
+        full, full_bar = metric_norm(f, ex)
+        # n_max = 1000 needs about 35000 terms at the last level
+        deep, deep_bar = metric_norm(f, CompactExhaustion(n_max=1000))
+        assert deep + deep_bar >= full and deep <= full + full_bar
+        monkeypatch.setattr(poisson, "_TERM_CAP", 400)  # levels n >= 13 here
+        capped, capped_bar = metric_norm(f, ex)
+        assert capped < full <= capped + capped_bar
+        assert capped_bar > 1e3 * full_bar
 
 
 class TestLimitDiagnostic:
