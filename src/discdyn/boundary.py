@@ -65,10 +65,10 @@ class Arc:
     def __post_init__(self):
         z = complex(self.zeta)
         r = abs(z)
-        if abs(r - 1.0) > 1e-9:
+        if not abs(r - 1.0) <= 1e-9:  # NaN fails
             raise ValueError(f"|zeta| = {r} not on the unit circle")
         t = float(self.theta)
-        if t < -1e-12 or t > TWO_PI + 1e-12:
+        if not -1e-12 <= t <= TWO_PI + 1e-12:
             raise ValueError(f"theta = {t} outside [0, 2pi]")
         object.__setattr__(self, "zeta", z / r)
         object.__setattr__(self, "theta", min(max(t, 0.0), TWO_PI))
@@ -82,6 +82,20 @@ class Arc:
         if self.theta == TWO_PI:
             return True
         return float(wrap_angle(s - self.start_angle)) < self.theta
+
+
+def check_arcs(zeta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Arc`'s checks and normalisation on arrays of starts and lengths."""
+    r = np.hypot(zeta.real, zeta.imag)  # abs() of a Python complex, bit for bit
+    ok = np.abs(r - 1.0) <= 1e-9  # NaN and infinities fail
+    if not ok.all():
+        raise ValueError(f"|zeta| = {r[~ok][0]} not on the unit circle")
+    ok = (theta >= -1e-12) & (theta <= TWO_PI + 1e-12)
+    if not ok.all():
+        raise ValueError(f"theta = {theta[~ok][0]} outside [0, 2pi]")
+    unit = np.empty_like(zeta)  # part by part, as complex / float divides
+    unit.real, unit.imag = zeta.real / r, zeta.imag / r
+    return unit, np.clip(theta, 0.0, TWO_PI)
 
 
 class BoundaryFunction:

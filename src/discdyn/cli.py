@@ -9,6 +9,7 @@ deterministic per (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,10 +33,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -50,21 +47,22 @@ def _echo_pairs(args) -> list[tuple[str, str]]:
     return pairs
 
 
+def _cell_format(c) -> str:
+    # "%.17g" % x is format(float(x), ".17g"): 17 digits, read back exactly
+    if isinstance(c, (int, np.integer)):
+        return "%d"
+    return "%s" if isinstance(c, str) else "%.17g"
+
+
 def _write_csv(path, title, args, columns, rows):
+    """Rows are tuples whose cells have the types of the first row's, column by column."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# discdyn {title}\n")
         fh.write("# " + " ".join(f"{k}={v}" for k, v in _echo_pairs(args)) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for c in row:
-                if isinstance(c, (int, np.integer)):
-                    cells.append(str(int(c)))
-                elif isinstance(c, str):
-                    cells.append(c)
-                else:
-                    cells.append(_fmt(c))
-            fh.write(",".join(cells) + "\n")
+        if rows:
+            line = ",".join(map(_cell_format, rows[0])) + "\n"
+            fh.writelines(line % row for row in rows)
 
 
 def _write_json(path, obj):
@@ -88,7 +86,7 @@ def _write_pgm(path, img, title, args, lo, hi):
     header = (
         f"P5\n# discdyn {title} "
         + " ".join(f"{k}={v}" for k, v in _echo_pairs(args))
-        + f"\n# min={_fmt(lo)} max={_fmt(hi)}\n{w} {h}\n255\n"
+        + f"\n# min={float(lo):.17g} max={float(hi):.17g}\n{w} {h}\n255\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -157,11 +155,7 @@ def cmd_extend(args) -> int:
     lo = float(np.nanmin(re))
     hi = float(np.nanmax(re))
     _write_pgm(args.out + ".pgm", re[::-1], "extend", args, lo, hi)
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            if inside[i, j]:
-                rows.append((xx[i, j], yy[i, j], vals[i, j].real, vals[i, j].imag))
+    rows = list(zip(*(a[inside].tolist() for a in (xx, yy, vals.real, vals.imag))))
     _write_csv(args.out + ".csv", "extend", args, ["x", "y", "re", "im"], rows)
     return 0
 
@@ -252,14 +246,15 @@ def cmd_arcflow(args) -> int:
 
 
 def cmd_foliate(args) -> int:
+    for flag, least in (("points", 0), ("max_word_len", 0), ("grid", 1)):
+        if getattr(args, flag) < least:
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least {least}")
     group = foliation.genus2_group()
     base = Arc(args.base_zeta, args.base_theta)
     sample = foliation.orbit_sample(group, base, args.points, args.max_word_len, args.seed)
     cov = foliation.coverage_statistic(sample, args.grid)
-    rows = [
-        (L, a.zeta.real, a.zeta.imag, a.theta)
-        for L, a in zip(sample.word_lengths, sample.points)
-    ]
+    columns = (sample.word_lengths, sample.zeta.real, sample.zeta.imag, sample.theta)
+    rows = list(zip(*(a.tolist() for a in columns)))
     _write_csv(
         args.out + ".csv",
         "foliate",
@@ -343,7 +338,9 @@ def cmd_limit(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     top = _Parser(prog="discdyn", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
 from . import moebius
 from .arcspace import Arc, act_arc, act_arcs  # noqa: F401  (act_arc is re-exported)
-from .boundary import TWO_PI
+from .boundary import TWO_PI, check_arcs
 from .moebius import MoebiusElement
 
 
@@ -83,80 +82,71 @@ def short_word_scan(
     lengths below the defining relation (length 8 here).
     """
     letters = group.letters()
-    n = len(letters)
-    half = n // 2
-    frontier: list[tuple[int, MoebiusElement]] = [(-1, moebius.identity())]
+    half = len(letters) // 2
     ident = moebius.identity()
-    best = math.inf
-    best_word: tuple[int, ...] = ()
-    words: list[tuple[int, ...]] = [()]
+    best, best_word = math.inf, ()
+    frontier = [((), ident)]
     for _ in range(max_len):
-        nxt = []
-        nxt_words = []
-        for (last, g), w in zip(frontier, words):
-            for i in range(n):
-                if last >= 0 and i == last ^ half:
-                    continue
-                h = moebius.compose(g, letters[i])
-                d = h.distance_to(ident)
-                if d < best:
-                    best = d
-                    best_word = w + (i,)
-                nxt.append((i, h))
-                nxt_words.append(w + (i,))
-        frontier = nxt
-        words = nxt_words
+        frontier = [
+            (w + (i,), moebius.compose(g, h))
+            for w, g in frontier
+            for i, h in enumerate(letters)
+            if not w or i != w[-1] ^ half
+        ]
+        for w, g in frontier:
+            d = g.distance_to(ident)
+            if d < best:
+                best, best_word = d, w
     return best, best_word
 
 
 # --- orbit sampling on the arc cylinder ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields have no truth value to compare by
 class OrbitSample:
-    points: tuple[Arc, ...]
-    word_lengths: tuple[int, ...]
+    """The images g(base) as arrays: starts zeta, lengths theta, and word lengths."""
+
+    zeta: np.ndarray
+    theta: np.ndarray
+    word_lengths: np.ndarray
     rng_seed: int
     base: Arc
     on_boundary: bool = False
 
 
-def _random_reduced_word(rng, n_letters: int, length: int) -> list[int]:
-    """Uniform reduced word; the letters after the first, each drawn from the
-    n_letters - 1 that do not cancel its predecessor, come from one draw."""
-    if length == 0:
-        return []
-    half = n_letters // 2
-    word = [int(rng.integers(0, n_letters))]
-    for pick in rng.integers(0, n_letters - 1, size=length - 1).tolist():
-        if pick >= word[-1] ^ half:
-            pick += 1
-        word.append(pick)
-    return word
+def _word_table(rng, n_letters: int, n_words: int, width: int) -> np.ndarray:
+    """An (n_words, width) table of uniform reduced words from one draw: each
+    letter after column 0 picks among the n_letters - 1 that do not cancel its
+    left neighbour (inverse = neighbour XOR n_letters // 2).  Every prefix of
+    a row is again a uniform reduced word."""
+    highs = np.full(width, n_letters - 1)
+    highs[:1] = n_letters
+    table = rng.integers(0, highs, size=(n_words, width))
+    for j in range(1, width):
+        table[:, j] += table[:, j] >= table[:, j - 1] ^ (n_letters // 2)
+    return table
 
 
-def _apply_words(letters, words: Sequence[Sequence[int]], base: Arc) -> list[Arc]:
+def _apply_words(letters, table: np.ndarray, lengths: np.ndarray, base: Arc):
     """The images g(base) for the words g = l0 l1 ... lk, all at once.
 
-    The words are right-aligned in an index table whose columns act right to
-    left, so g acts as l0(l1(...lk(base))); a point moves only at the
-    positions where its word has a letter.  No product matrix is formed:
-    its entries grow exponentially with the word length, and once |alpha|
-    nears 1e8, |alpha|^2 - |beta|^2 cancels to nothing in double precision.
+    Row r of the table holds its word in its first lengths[r] columns.  The
+    columns act right to left, each on the rows whose word reaches it, so g
+    acts as l0(l1(...lk(base))).  No product matrix is formed: its entries
+    grow exponentially with the word length, and once |alpha| nears 1e8,
+    |alpha|^2 - |beta|^2 cancels to nothing in double precision.  Returns
+    the image starts and lengths as arrays, checked as `Arc` checks them.
     """
     alpha = np.array([g.alpha for g in letters])
     beta = np.array([g.beta for g in letters])
-    width = max(map(len, words), default=0)
-    table = np.full((len(words), width), -1)
-    for row, word in zip(table, words):
-        row[width - len(word) :] = word
-    zeta = np.full(len(words), base.zeta)
-    theta = np.full(len(words), base.theta)
-    for col in table.T[::-1]:
-        on = col >= 0
-        idx = col[on]
+    zeta = np.full(len(table), base.zeta)
+    theta = np.full(len(table), base.theta)
+    for j in range(table.shape[1] - 1, -1, -1):
+        on = lengths > j
+        idx = table[on, j]
         zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
-    return [Arc(z, t) for z, t in zip(zeta.tolist(), theta.tolist())]
+    return check_arcs(zeta, theta)
 
 
 def orbit_sample(
@@ -166,38 +156,36 @@ def orbit_sample(
     max_word_len: int,
     seed: int,
 ) -> OrbitSample:
-    """Random reduced words of length <= max_word_len applied to the base arc.
+    """Reduced words of uniform random length <= max_word_len applied to the base arc.
 
     Deterministic per seed.  Boundary bases (theta 0 or 2pi) stay on their
     boundary circle; that is flagged, not rejected.
     """
     rng = np.random.default_rng(int(seed))
     letters = group.letters()
-    words = []
-    for _ in range(n_points):
-        length = int(rng.integers(0, max_word_len + 1))
-        words.append(_random_reduced_word(rng, len(letters), length))
-    pts = _apply_words(letters, words, base)
+    lengths = rng.integers(0, max_word_len + 1, size=n_points)
+    table = _word_table(rng, len(letters), n_points, max_word_len)
+    zeta, theta = _apply_words(letters, table, lengths, base)
     on_b = base.theta <= 0.0 or base.theta >= TWO_PI
-    return OrbitSample(tuple(pts), tuple(map(len, words)), int(seed), base, on_b)
+    return OrbitSample(zeta, theta, lengths, int(seed), base, on_b)
 
 
-def _occupied_cells(points: Sequence[Arc], grid: int) -> set[tuple[int, int]]:
+def _occupied_cells(zeta: np.ndarray, theta: np.ndarray, grid: int) -> set[tuple[int, int]]:
     lo, hi = 0.2, TWO_PI - 0.2
     cells = set()
-    for arc in points:
-        if not lo <= arc.theta <= hi:
+    for re, im, t in zip(zeta.real.tolist(), zeta.imag.tolist(), theta.tolist()):
+        if not lo <= t <= hi:
             continue
-        ang = math.atan2(arc.zeta.imag, arc.zeta.real) % TWO_PI
+        ang = math.atan2(im, re) % TWO_PI
         i = min(grid - 1, int(ang / (TWO_PI / grid)))
-        j = min(grid - 1, int((arc.theta - lo) / ((hi - lo) / grid)))
+        j = min(grid - 1, int((t - lo) / ((hi - lo) / grid)))
         cells.add((i, j))
     return cells
 
 
 def coverage_statistic(sample: OrbitSample, grid: int = 32) -> float:
     """Fraction of occupied cells on the interior band of the arc cylinder."""
-    return len(_occupied_cells(sample.points, grid)) / (grid * grid)
+    return len(_occupied_cells(sample.zeta, sample.theta, grid)) / (grid * grid)
 
 
 def coverage_sweep(
@@ -218,8 +206,9 @@ def coverage_sweep(
     rows = []
     for length in range(max_word_len + 1):
         rng = np.random.default_rng([int(seed), length])
-        words = [_random_reduced_word(rng, len(letters), length) for _ in range(n_per_length)]
-        cells |= _occupied_cells(_apply_words(letters, words, base), grid)
+        table = _word_table(rng, len(letters), n_per_length, length)
+        lengths = np.full(n_per_length, length)
+        cells |= _occupied_cells(*_apply_words(letters, table, lengths, base), grid)
         rows.append((length, len(cells) / (grid * grid)))
     return rows
 

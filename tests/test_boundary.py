@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from discdyn.boundary import check_arcs
 from discdyn import (
     Arc,
     BoundaryFunction,
@@ -286,3 +287,22 @@ class TestArcs:
     def test_nonunit_center_rejected(self):
         with pytest.raises(ValueError):
             Arc(0.5 + 0.0j, 1.0)
+
+    @pytest.mark.parametrize(
+        "zeta, theta",
+        [(1.0, math.nan), (math.nan, 1.0), (complex(1.0, math.nan), 1.0),
+         (1.0, math.inf), (math.inf, 1.0), (1.0, -math.inf), (1.0, 7.0), (1.0, -1e-9)],
+    )
+    def test_arc_and_array_checks_reject_the_same(self, zeta, theta):
+        with pytest.raises(ValueError):
+            Arc(zeta, theta)
+        with pytest.raises(ValueError):
+            check_arcs(np.array([1.0, zeta], dtype=complex), np.array([1.0, theta]))
+
+    def test_array_check_normalises_like_arc(self):
+        zeta = np.exp(1j * np.array([0.3, 2.0, 5.0])) * np.array([1.0, 1.0 + 5e-10, 1.0 - 5e-10])
+        theta = np.array([-5e-13, 1.0, TWO_PI + 5e-13])
+        z, t = check_arcs(zeta, theta)
+        for zi, ti, a, b in zip(z, t, zeta, theta):
+            arc = Arc(a, b)
+            assert zi == arc.zeta and ti == arc.theta

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from discdyn import BoundaryFunction
-from discdyn.cli import main
+from discdyn.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -108,6 +108,46 @@ class TestCommands:
         assert len(_data_rows(tmp_path / "limit.csv")) == 9
 
 
+class TestFoliate:
+    @pytest.mark.parametrize("length", [4, 12])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cells_match_recount_from_csv(self, bdry, tmp_path, seed, length):
+        argv = ["foliate", "--points", "2000", "--max-word-len", str(length),
+                "--seed", str(seed), "--base-theta", "2.0", "--grid", "24", "--out", "c"]
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "c.json").read_text())
+        grid, lo, hi = 24, 0.2, 2 * math.pi - 0.2
+        occupied = set()
+        for row in _data_rows(tmp_path / "c.csv"):
+            _, re, im, theta = map(float, row.split(","))
+            if lo <= theta <= hi:
+                ang = math.atan2(im, re) % (2 * math.pi)
+                i = min(grid - 1, int(ang / (2 * math.pi / grid)))
+                j = min(grid - 1, int((theta - lo) / ((hi - lo) / grid)))
+                occupied.add((i, j))
+        assert doc["cells"] == len(occupied) > 0
+        assert doc["coverage"] == len(occupied) / grid**2
+
+    def test_zero_points_writes_header_only(self, bdry, tmp_path):
+        assert main(["foliate", "--points", "0", "--out", "z"]) == 0
+        lines = (tmp_path / "z.csv").read_text().splitlines()
+        assert lines[-1] == "word_length,zeta_re,zeta_im,theta"
+        assert _data_rows(tmp_path / "z.csv") == []
+        doc = json.loads((tmp_path / "z.json").read_text())
+        assert doc["points"] == 0 and doc["cells"] == 0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--points", "-5"], ["--max-word-len", "-1"], ["--grid", "0"], ["--grid", "-3"],
+         ["--base-theta", "nan"], ["--base-zeta", "nan"], ["--base-theta", "inf"]],
+    )
+    def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
+        assert main(["foliate", "--points", "20", *flags, "--out", "bad"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
+        assert not (tmp_path / "bad.csv").exists()
+
+
 class TestExitCodes:
     def test_unknown_command(self, bdry):
         assert main(["no-such-command"]) == 1
@@ -148,6 +188,17 @@ class TestReproducibility:
         rc = main(["--config", "run.json"])
         assert rc == 0
         assert _data_rows(tmp_path / "a.csv") == _data_rows(tmp_path / "b.csv")
+
+    def test_one_parser_serves_many_calls(self, bdry, tmp_path):
+        assert _build_parser() is _build_parser()
+        assert main(["foliate", "--points", "40", "--seed", "4", "--grid", "8", "--out", "a"]) == 0
+        assert main(["dense", "--lambda", "2", "--levels", "2", "--out", "d.csv"]) == 0
+        assert main(["foliate", "--points", "40", "--seed", "4", "--grid", "8", "--out", "b"]) == 0
+        assert _data_rows(tmp_path / "a.csv") == _data_rows(tmp_path / "b.csv")
+        # flags given to earlier calls do not become later calls' defaults
+        assert main(["foliate", "--out", "c"]) == 0
+        config = json.loads((tmp_path / "c.json").read_text())["config"]
+        assert (config["points"], config["seed"], config["grid"]) == ("2000", "1", "32")
 
     def test_same_seed_same_output(self, bdry, tmp_path):
         assert main(["foliate", "--points", "100", "--seed", "9", "--out", "s1"]) == 0

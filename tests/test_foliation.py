@@ -30,7 +30,7 @@ from discdyn import (
     short_word_scan,
 )
 
-from discdyn.foliation import _apply_words, _random_reduced_word
+from discdyn.foliation import _apply_words, _word_table
 
 from conftest import random_boundary, random_element
 
@@ -70,9 +70,10 @@ class TestOrbitSampling:
         base = Arc(1.0 + 0j, math.pi / 2)
         s1 = orbit_sample(G, base, 100, 6, seed=5)
         s2 = orbit_sample(G, base, 100, 6, seed=5)
-        assert s1.points == s2.points
+        for name in ("zeta", "theta", "word_lengths"):
+            assert np.array_equal(getattr(s1, name), getattr(s2, name))
         s3 = orbit_sample(G, base, 100, 6, seed=6)
-        assert s1.points != s3.points
+        assert not np.array_equal(s1.zeta, s3.zeta)
 
     def test_word_lengths_within_budget(self):
         s = orbit_sample(genus2_group(), Arc(1.0 + 0j, 1.0), 200, 5, seed=1)
@@ -82,33 +83,46 @@ class TestOrbitSampling:
     def test_boundary_base_flagged(self):
         s = orbit_sample(genus2_group(), Arc(1.0 + 0j, 0.0), 10, 3, seed=1)
         assert s.on_boundary
-        assert all(p.theta == 0.0 for p in s.points)
+        assert np.all(s.theta == 0.0)
 
     def test_coverage_statistic_range(self):
         s = orbit_sample(genus2_group(), Arc(1.0 + 0j, math.pi / 2), 500, 8, seed=2)
         c = coverage_statistic(s)
         assert 0.0 < c < 1.0
 
-    def test_word_draw_matches_letter_by_letter_draws(self):
-        # reference: one scalar draw per letter, as words were drawn before
-        def scalar_word(rng, n_letters, length):
-            half = n_letters // 2
-            word = []
-            prev = -1
-            for _ in range(length):
-                pick = int(rng.integers(0, n_letters - (1 if prev >= 0 else 0)))
-                if prev >= 0 and pick >= (prev ^ half):
-                    pick += 1
-                word.append(pick)
-                prev = pick
-            return word
+    @staticmethod
+    def _assert_uniform(counts, total, p):
+        # each count within 5 sigma of its binomial mean
+        counts = np.asarray(counts, dtype=float)
+        sigma = math.sqrt(total * p * (1.0 - p))
+        assert np.all(np.abs(counts - total * p) <= 5.0 * sigma), (counts, total * p)
 
-        for seed in range(100):
-            fast = np.random.default_rng(seed)
-            ref = np.random.default_rng(seed)
-            for length in range(21):
-                assert _random_reduced_word(fast, 8, length) == scalar_word(ref, 8, length)
-            assert fast.bit_generator.state == ref.bit_generator.state
+    def test_word_table_is_reduced_and_uniform(self):
+        n, width = 10**5, 6
+        table = _word_table(np.random.default_rng(11), 8, n, width)
+        assert table.shape == (n, width)
+        assert table.min() >= 0 and table.max() <= 7
+        prev, nxt = table[:, :-1].ravel(), table[:, 1:].ravel()
+        assert not np.any(nxt == prev ^ 4)
+        self._assert_uniform(np.bincount(table[:, 0], minlength=8), n, 1 / 8)
+        for i in range(8):
+            follow = np.bincount(nxt[prev == i], minlength=8)
+            assert follow[i ^ 4] == 0
+            self._assert_uniform(np.delete(follow, i ^ 4), int(np.sum(prev == i)), 1 / 7)
+
+    def test_word_lengths_are_uniform(self):
+        n, width = 10**5, 6
+        s = orbit_sample(genus2_group(), Arc(1.0 + 0j, 1.0), n, width, seed=12)
+        assert s.word_lengths.min() >= 0 and s.word_lengths.max() <= width
+        self._assert_uniform(np.bincount(s.word_lengths, minlength=width + 1), n, 1 / (width + 1))
+
+    def test_word_table_deterministic_per_seed(self):
+        def draw(seed):
+            return _word_table(np.random.default_rng(seed), 8, 500, 9)
+
+        assert np.array_equal(draw(4), draw(4))
+        assert not np.array_equal(draw(4), draw(5))
+        assert _word_table(np.random.default_rng(4), 8, 500, 0).shape == (500, 0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sweep_monotone(self, seed):
@@ -143,37 +157,40 @@ class TestLetterByLetterAction:
     @pytest.mark.parametrize("length", [8, 12, 16, 20])
     def test_matches_60_digit_product(self, length):
         letters = genus2_group().letters()
-        rng = np.random.default_rng(length)
-        words = [_random_reduced_word(rng, len(letters), length) for _ in range(300)]
+        table = _word_table(np.random.default_rng(length), len(letters), 300, length)
         base = Arc(np.exp(0.7j), 2.1)
+        zetas, thetas = _apply_words(letters, table, np.full(300, length), base)
         worst_zeta = worst_theta = 0.0
-        for word, arc in zip(words, _apply_words(letters, words, base)):
+        for word, z, t in zip(table.tolist(), zetas, thetas):
             zeta, theta = _oracle_image(letters, word, base.zeta, base.theta)
-            worst_zeta = max(worst_zeta, abs(arc.zeta - zeta))
-            worst_theta = max(worst_theta, abs(arc.theta - theta))
+            worst_zeta = max(worst_zeta, abs(z - zeta))
+            worst_theta = max(worst_theta, abs(t - theta))
         assert worst_zeta <= 1e-13 and worst_theta <= 1e-13, (worst_zeta, worst_theta)
 
     @pytest.mark.parametrize("theta", [0.0, TWO_PI])
     def test_boundary_circles_stay_exact(self, theta):
         letters = genus2_group().letters()
-        rng = np.random.default_rng(3)
-        words = [_random_reduced_word(rng, len(letters), 12) for _ in range(300)]
+        table = _word_table(np.random.default_rng(3), len(letters), 300, 12)
         base = Arc(np.exp(2.0j), theta)
-        for word, arc in zip(words, _apply_words(letters, words, base)):
-            assert arc.theta == theta
-            assert abs(arc.zeta - _oracle_image(letters, word, base.zeta, 1.0)[0]) <= 1e-13
+        zetas, thetas = _apply_words(letters, table, np.full(300, 12), base)
+        assert np.all(thetas == theta)
+        for word, z in zip(table.tolist(), zetas):
+            assert abs(z - _oracle_image(letters, word, base.zeta, 1.0)[0]) <= 1e-13
 
     def test_mixed_lengths_act_right_to_left(self):
-        # g = l0 l1 ... lk acts as l0(l1(...lk(x))), whatever the other words' lengths
+        # g = l0 l1 ... lk acts as l0(l1(...lk(x))), whatever the other words'
+        # lengths; the letters past a row's length are never applied
         letters = genus2_group().letters()
         base = Arc(np.exp(0.3j), 1.9)
         words = [[], [2], [0, 1], [5, 6, 4, 3]]
-        for word, arc in zip(words, _apply_words(letters, words, base)):
+        table = np.array([w + [7] * (4 - len(w)) for w in words])
+        zetas, thetas = _apply_words(letters, table, np.array([0, 1, 2, 4]), base)
+        for word, z, t in zip(words, zetas, thetas):
             expect = base
             for i in reversed(word):
                 expect = act_arc(letters[i], expect)
-            assert abs(arc.zeta - expect.zeta) <= 1e-14
-            assert abs(arc.theta - expect.theta) <= 1e-14
+            assert abs(z - expect.zeta) <= 1e-14
+            assert abs(t - expect.theta) <= 1e-14
 
 
 class TestLeafwise:
@@ -295,5 +312,5 @@ class TestQuotientConsistency:
     def test_orbit_points_project_to_sphere(self):
         # every sampled arc has a well-defined image in the quotient
         s = orbit_sample(genus2_group(), Arc(1.0 + 0j, math.pi / 2), 100, 6, seed=3)
-        kinds = {quotient_to_sphere(p).kind for p in s.points}
+        kinds = {quotient_to_sphere(Arc(z, t)).kind for z, t in zip(s.zeta, s.theta)}
         assert "interior" in kinds
