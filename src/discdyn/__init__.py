@@ -51,7 +51,6 @@ from .chaos import (
     dense_orbit_report,
     make_parabolic_schedule,
     make_schedule,
-    periodic_report,
     sensitivity_probe,
     translate_boundary,
 )

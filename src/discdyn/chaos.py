@@ -486,31 +486,6 @@ def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicAp
     return PeriodicApproximant(function, gamma, kind, rate, n, k, m_cap, f)
 
 
-def periodic_report(
-    f: BoundaryFunction,
-    epsilons: Sequence[float],
-    gamma: MoebiusElement,
-    ex: CompactExhaustion | None = None,
-) -> list[tuple[float, int, int, float, float, float]]:
-    """Rows (epsilon, n, k, l1_defect, metric_defect, bar) for each epsilon."""
-    ex = ex or CompactExhaustion()
-    kind = (
-        "hyperbolic"
-        if moebius.classify(gamma) is ElementClass.HYPERBOLIC
-        else "parabolic"
-    )
-    rows = []
-    for eps in epsilons:
-        if kind == "hyperbolic":
-            approx = build_periodic_approximant(f, eps, gamma)
-        else:
-            approx = build_parabolic_periodic(f, eps, gamma)
-        l1, l1_bar = approx.l1_defect()
-        dist, bar = approx.metric_defect(ex)
-        rows.append((float(eps), approx.n, approx.k, l1 + l1_bar, dist, bar))
-    return rows
-
-
 # --- sensitivity probe -------------------------------------------------------
 
 

@@ -19,7 +19,10 @@ become true sups through a bound on |d^2u/dt^2| read off the coefficients
 closed form.  Every reported value
 carries an error bar that is an upper bound by construction: the series tail,
 the unrepresented arcs, and per level the cell allowance, the truncation tail
-J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the FFT rounding.
+J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the FFT rounding.  Level
+n counts with weight w_n = 1/(n^2 2^n), so both its cell allowance and its
+truncation tail are budgeted by weight (_SUP_BUDGET / w_n, _TAIL_BUDGET / w_n):
+deep levels take few terms and coarse grids.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .moebius import ElementClass, MoebiusElement
 NORM_OF_ONE = 0.5822405264650125
 
 # spectral circle sups (see metric_norm)
-_TAIL_TOL = 1e-15  # truncation tail of the damped series on each circle
+_TAIL_BUDGET = 1e-14  # weighted truncation tail of the damped series each level may leave
 _TERM_CAP = 1 << 13  # series terms beyond which a level is not computed
 _CHUNK_PAIRS = 1 << 18  # array entries formed at once: exponentials or circle points
 _SUP_BUDGET = 1e-11  # weighted cell allowance each level may leave in the bar
@@ -150,8 +153,8 @@ class CompactExhaustion:
             raise ValueError("n_max must be at least 1")
 
     def weights(self) -> np.ndarray:
-        n = np.arange(1, self.n_max + 1, dtype=float)
-        return 1.0 / (n * n * np.exp2(n))
+        n = np.arange(1, self.n_max + 1)
+        return np.ldexp(1.0 / n**2.0, -n)  # underflows to 0 instead of overflowing 2^n
 
     def tail_coeff(self) -> float:
         # sum_{n > n_max} 1/(n^2 2^n) <= 2^-n_max
@@ -196,24 +199,26 @@ def _truncation_tail(jump_sum: float, radii, k):
     return jump_sum * radii ** (k + 1.0) / (math.pi * (k + 1.0) * (1.0 - radii))
 
 
-def _terms_needed(jump_sum: float, radii: np.ndarray) -> np.ndarray:
-    """Least k per radius whose truncation tail is at most _TAIL_TOL."""
+def _terms_needed(jump_sum: float, radii: np.ndarray, tol) -> np.ndarray:
+    """Least k per radius whose truncation tail is at most tol (may be inf)."""
     if jump_sum == 0.0:
         return np.zeros(radii.shape, dtype=int)
-    # r^{k+1} <= _TAIL_TOL pi (1-r) / J already suffices, since 1/(k+1) <= 1
-    hi = np.maximum(0.0, np.ceil(
-        np.log(_TAIL_TOL * math.pi * (1.0 - radii) / jump_sum) / np.log(radii)) - 1.0)
+    # r^{k+1} <= tol pi (1-r) / J already suffices, since 1/(k+1) <= 1; in
+    # logs, so that a huge or infinite tol gives k = 0 without overflow
+    log_arg = np.log(tol) + np.log(math.pi * (1.0 - radii) / jump_sum)
+    hi = np.maximum(0.0, np.ceil(log_arg / np.log(radii)) - 1.0)
     lo = np.zeros_like(hi)
     while np.any(lo < hi):
         mid = np.floor(0.5 * (lo + hi))
-        ok = _truncation_tail(jump_sum, radii, mid) <= _TAIL_TOL
+        ok = _truncation_tail(jump_sum, radii, mid) <= tol
         hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1.0)
     return hi.astype(int)
 
 
-def _grid_size(k: int) -> int:
+def _grid_size(k):
     """Least power of 2 with m >= max(256, 2k + 2): room for the terms |j| <= k."""
-    return max(256, 1 << (2 * k + 1).bit_length())
+    # frexp gives the bit length of the integer 2k + 1 exactly
+    return np.maximum(256, np.ldexp(1.0, np.frexp(2 * np.asarray(k) + 1.0)[1])).astype(int)
 
 
 def _circle_values(
@@ -251,7 +256,9 @@ def _level_sups(
     A circle stops after _HALVINGS rounds, or when more than _CELL_CAP of its
     cells are candidates.  error = the largest cell excess left, plus the
     truncation tail J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the
-    series, the FFT and the closed form.
+    series, the FFT and the closed form.  The caller sizes k and the grid to a
+    weighted truncation budget per level, so the tail may be large where the
+    weight is small; C covers the terms past k either way.
     """
     levels = radii.size
     k = np.minimum(pos.size - 1, sizes // 2 - 1)
@@ -263,7 +270,7 @@ def _level_sups(
     curv = np.empty(levels)  # C / 8 per circle
     best = np.empty(levels)
     top = np.full(levels, -math.inf)  # largest final cell bound per circle
-    pool = []  # circles whose first cells may need halving: (level, |u| on the grid)
+    pool = []  # per chunk, the first cells of circles that may need halving
     for m in np.unique(sizes):
         rows = np.flatnonzero(sizes == m)
         step = max(1, _CHUNK_PAIRS // m)
@@ -274,15 +281,15 @@ def _level_sups(
             curv[chunk] = (rest_d2[chunk] + d2) / 8.0
             best[chunk] = vals.max(axis=1)
             allow = (TWO_PI / m) ** 2 * curv[chunk]
-            top[chunk] = np.where(allow > tols[chunk], -math.inf, best[chunk] + allow)
-            pool += [(lev, row) for lev, row, a in zip(chunk, vals, allow) if a > tols[lev]]
+            sel = allow > tols[chunk]
+            top[chunk] = np.where(sel, -math.inf, best[chunk] + allow)
+            if sel.any():
+                cand = vals[sel]
+                pool.append((np.repeat(chunk[sel], m), np.full(cand.size, TWO_PI / m),
+                             np.tile(np.arange(m) * (TWO_PI / m), cand.shape[0]),
+                             cand.ravel(), np.roll(cand, -1, axis=1).ravel()))
     if pool:
-        lev = np.concatenate([np.full(row.size, l) for l, row in pool])
-        h = np.concatenate([np.full(row.size, TWO_PI / row.size) for _, row in pool])
-        start = np.concatenate([np.arange(row.size) * (TWO_PI / row.size)
-                                for _, row in pool])
-        left = np.concatenate([row for _, row in pool])
-        right = np.concatenate([np.roll(row, -1) for _, row in pool])
+        lev, h, start, left, right = (np.concatenate(part) for part in zip(*pool))
         for rnd in range(_HALVINGS + 1):
             bound = np.maximum(left, right) + h * h * curv[lev]
             over = bound > best[lev] + tols[lev]
@@ -317,7 +324,9 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     The Fourier coefficients of the boundary data are computed once; each
     circle |z| = 1 - 1/n is one inverse FFT of the damped series, refined
     cell by cell to a true sup (see `_level_sups`) with a weighted budget of
-    _SUP_BUDGET per level.  The bar is the sum of
+    _SUP_BUDGET per level.  Each level's series is truncated to a weighted
+    budget of _TAIL_BUDGET the same way: the least k with w_n times the
+    truncation tail at most _TAIL_BUDGET.  The bar is the sum of
 
     - the series tail sum_{n>n_max} w_n times sup|phi|;
     - the unrepresented arcs: their tail bound times the Poisson kernel mass
@@ -325,9 +334,9 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     - sum_n w_n (cell allowance + truncation tail + rounding), the rounding
       covering the series, the FFT and the closed-form midpoints.
 
-    Levels needing more than _TERM_CAP series terms report the last computed
-    level's sup (a lower bound, since K_n grows) and add w_n times the gap up
-    to sup|f| to the bar.
+    From the first level needing more than _TERM_CAP series terms on, levels
+    report the last computed level's sup (a lower bound, since K_n grows) and
+    add w_n times the gap up to sup|f| to the bar.
     """
     f = phi.boundary
     w = ex.weights()
@@ -338,15 +347,18 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     else:
         jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
         radii = ex.radius(np.arange(2, ex.n_max + 1))
-        terms = _terms_needed(jump_sum, radii)
-        done = 1 + int(np.count_nonzero(terms <= _TERM_CAP))  # terms grow with n
-        pos, neg = _fourier_coefficients(f, int(terms[done - 2]) if done > 1 else 0)
+        with np.errstate(divide="ignore", over="ignore"):  # weight 0: no limit
+            tail_tols, sup_tols = _TAIL_BUDGET / w[1:], _SUP_BUDGET / w[1:]
+        terms = _terms_needed(jump_sum, radii, tail_tols)
+        capped = np.flatnonzero(terms > _TERM_CAP)
+        done = 1 + (int(capped[0]) if capped.size else terms.size)
+        pos, neg = _fourier_coefficients(f, int(terms[: done - 1].max(initial=0)))
         sups[0] = abs(pos[0])
         errs[0] = 1e-14 * (abs(pos[0]) + 1.0) + 1e-15 * float(np.sum(np.abs(f.values)))
         if done > 1:
-            sizes = np.array([_grid_size(int(k)) for k in terms[: done - 1]])
             sups[1:done], errs[1:done] = _level_sups(
-                f, pos, neg, radii[: done - 1], sizes, _SUP_BUDGET / w[1:done], jump_sum
+                f, pos, neg, radii[: done - 1], _grid_size(terms[: done - 1]),
+                sup_tols[: done - 1], jump_sum,
             )
         sups[done:] = sups[done - 1]
         errs[done:] = max(f.sup_norm() - sups[done - 1], 0.0) + errs[done - 1]

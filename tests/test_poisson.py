@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,10 +29,11 @@ from discdyn import (
     metric_distance,
     metric_norm,
     rotation,
+    translate_boundary,
 )
 from discdyn import poisson
 
-from conftest import poisson_quad, random_boundary
+from conftest import poisson_quad, random_boundary, random_element
 
 TWO_PI = 2.0 * math.pi
 
@@ -245,7 +247,7 @@ class TestSpectralSups:
         f = random_boundary(rng, pieces)
         jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
         radii = 1.0 - 1.0 / np.array([2.0, 12.0, 40.0])
-        terms = poisson._terms_needed(jump_sum, radii)
+        terms = poisson._terms_needed(jump_sum, radii, 1e-15)
         pos, neg = poisson._fourier_coefficients(f, int(terms[-1]))
         for r, k in zip(radii, terms):
             m = poisson._grid_size(int(k))
@@ -282,13 +284,99 @@ class TestSpectralSups:
         f = HarmonicFunction(random_boundary(np.random.default_rng(11), 16))
         ex = CompactExhaustion()
         full, full_bar = metric_norm(f, ex)
-        # n_max = 1000 needs about 35000 terms at the last level
         deep, deep_bar = metric_norm(f, CompactExhaustion(n_max=1000))
         assert deep + deep_bar >= full and deep <= full + full_bar
-        monkeypatch.setattr(poisson, "_TERM_CAP", 400)  # levels n >= 13 here
+        jump_sum = float(np.sum(np.abs(f.boundary.values - np.roll(f.boundary.values, 1))))
+        radii = ex.radius(np.arange(2, 41))
+        terms = poisson._terms_needed(jump_sum, radii, poisson._TAIL_BUDGET / ex.weights()[1:])
+        # levels n = 8..28 need more than 150 terms, the last ones fewer
+        over = np.flatnonzero(terms > 150) + 2
+        assert over[0] == 8 and terms[-1] <= 150
+        computed = []
+        level_sups = poisson._level_sups
+        monkeypatch.setattr(poisson, "_level_sups",
+                            lambda f, pos, neg, radii, *a: computed.append(radii.size)
+                            or level_sups(f, pos, neg, radii, *a))
+        monkeypatch.setattr(poisson, "_TERM_CAP", 150)
         capped, capped_bar = metric_norm(f, ex)
+        assert computed == [over[0] - 2]  # n = 2..7: a prefix, not every level under the cap
         assert capped < full <= capped + capped_bar
         assert capped_bar > 1e3 * full_bar
+
+    @pytest.mark.parametrize("n_max", [40, 200, 1000])
+    @pytest.mark.parametrize("pieces", [4, 128, 720])
+    def test_truncation_tail_is_within_weighted_budget(self, monkeypatch, pieces, n_max):
+        spy = []
+        level_sups = poisson._level_sups
+        monkeypatch.setattr(poisson, "_level_sups",
+                            lambda f, pos, neg, radii, sizes, *a: spy.append((pos.size, radii, sizes))
+                            or level_sups(f, pos, neg, radii, sizes, *a))
+        ex = CompactExhaustion(n_max)
+        f = random_boundary(np.random.default_rng(pieces), pieces)
+        jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
+        for scale in (1.0, 1e6 / jump_sum):
+            spy.clear()
+            metric_norm(HarmonicFunction(f.scaled(scale)), ex)
+            (size, radii, sizes), = spy
+            assert radii.size == n_max - 1  # no level reaches the term cap
+            assert size - 1 <= 500
+            k = np.minimum(size - 1, sizes // 2 - 1)
+            tail = poisson._truncation_tail(scale * jump_sum, radii, k)
+            assert np.all(ex.weights()[1:] * tail <= poisson._TAIL_BUDGET)
+
+    @pytest.mark.parametrize("budget", [1e-4, 1e-2])
+    @pytest.mark.parametrize("pieces", [4, 128])
+    def test_coarse_tail_budget_moves_value_within_bar(self, monkeypatch, pieces, budget):
+        # a coarse truncation moves the value far past the cell allowances;
+        # only the truncation tail in the bar can cover the move
+        f = HarmonicFunction(random_boundary(np.random.default_rng(pieces), pieces))
+        ex = CompactExhaustion()
+        fine, fine_bar = metric_norm(f, ex)
+        monkeypatch.setattr(poisson, "_TAIL_BUDGET", budget)
+        coarse, coarse_bar = metric_norm(f, ex)
+        assert abs(coarse - fine) > 1e3 * fine_bar
+        assert abs(coarse - fine) <= coarse_bar + fine_bar
+
+    def test_weights_underflow_to_zero_without_warnings(self, monkeypatch):
+        # w_n = 1/(n^2 2^n) is 0 in double precision from n = 1055 on: such a
+        # level needs no terms and no refinement, and nothing overflows
+        f = HarmonicFunction(random_boundary(np.random.default_rng(5), 16))
+        ex = CompactExhaustion(1100)
+        w = ex.weights()
+        zero = ex.radius(np.flatnonzero(w == 0.0)[0] + 1.0)
+        assert np.all(np.isfinite(w)) and w[-1] == 0.0
+        midpoints = []
+        extend = poisson.extend_many
+        monkeypatch.setattr(poisson, "extend_many",
+                            lambda f, zs: midpoints.append(np.max(np.abs(zs))) or extend(f, zs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(poisson._terms_needed(10.0, np.array([0.5, 0.999]), np.inf) == 0)
+            deep, deep_bar = metric_norm(f, ex)
+        assert max(midpoints) < zero
+        v40, b40 = metric_norm(f, CompactExhaustion())
+        assert v40 <= deep + deep_bar and deep <= v40 + b40
+
+    def test_work_per_call_is_bounded(self, monkeypatch):
+        # counters, not timers: coefficient terms and FFT points per metric call
+        # on 16-piece translate differences
+        terms, points = [], []
+        coefficients, circle_values = poisson._fourier_coefficients, poisson._circle_values
+        monkeypatch.setattr(poisson, "_fourier_coefficients",
+                            lambda f, k: terms.append(k) or coefficients(f, k))
+        monkeypatch.setattr(poisson, "_circle_values",
+                            lambda pos, neg, radii, m: points.append(len(radii) * m)
+                            or circle_values(pos, neg, radii, m))
+        rng = np.random.default_rng(0x16)
+        ex = CompactExhaustion()
+        for _ in range(24):
+            f = HarmonicFunction(random_boundary(rng, 8))
+            g = random_element(rng)
+            calls = len(terms)
+            points.clear()
+            metric_distance(f, translate_boundary(f, g), ex)
+            assert len(terms) == calls + 1
+            assert terms[-1] <= 300 and sum(points) <= 20_000
 
 
 class TestLimitDiagnostic:
