@@ -51,7 +51,6 @@ from .chaos import (
     dense_orbit_report,
     make_parabolic_schedule,
     make_schedule,
-    sensitivity_probe,
     translate_boundary,
 )
 from .foliation import (
@@ -87,7 +86,6 @@ from .moebius import (
     inverse,
     multiplier,
     parabolic_shift,
-    power,
     rotation,
     to_half_plane,
 )

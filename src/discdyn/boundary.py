@@ -147,7 +147,13 @@ class BoundaryFunction:
     def piece_widths(self) -> np.ndarray:
         if self.breakpoints.size == 0:
             return np.array([TWO_PI])
-        return np.diff(self.breakpoints, append=self.breakpoints[0] + TWO_PI)
+        br = self.breakpoints  # np.diff(br, append=...) is the same, only slower
+        return np.concatenate((br[1:], br[:1] + TWO_PI)) - br
+
+    def jumps(self) -> np.ndarray:
+        """values[i] - values[i-1], the jump at breakpoints[i] (cyclically)."""
+        v = self.values
+        return v - np.concatenate((v[-1:], v[:-1]))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -484,39 +483,6 @@ def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicAp
     mat = from_line_segments(segs)
     function = HarmonicFunction(mat, arcs, f.sup_norm())
     return PeriodicApproximant(function, gamma, kind, rate, n, k, m_cap, f)
-
-
-# --- sensitivity probe -------------------------------------------------------
-
-
-def sensitivity_probe(
-    phi: HarmonicFunction,
-    gamma: MoebiusElement,
-    perturbed: Sequence[HarmonicFunction],
-    n_max: int = 12,
-    ex: CompactExhaustion | None = None,
-) -> tuple[float, list[tuple[int, int, float]]]:
-    """Empirical separation under iteration: rows (trial, n, distance).
-
-    Returns the max over trials and n <= n_max of
-    metric_distance(translate_n(phi), translate_n(phi')).  Monotone
-    non-decreasing in n_max by construction (max over a growing range).
-    """
-    ex = ex or CompactExhaustion()
-    rows = []
-    worst = 0.0
-    for i, phi2 in enumerate(perturbed):
-        # iterate one translate per step; forming gamma^n directly loses the
-        # unit determinant to cancellation once lambda^n nears 1/eps_machine
-        a, b = phi, phi2
-        for n in range(n_max + 1):
-            if n > 0:
-                a = translate_boundary(a, gamma)
-                b = translate_boundary(b, gamma)
-            d, bar = metric_distance(a, b, ex)
-            rows.append((i, n, d))
-            worst = max(worst, d)
-    return worst, rows
 
 
 # --- conjugacy ---------------------------------------------------------------

@@ -139,21 +139,6 @@ def inverse(g: MoebiusElement) -> MoebiusElement:
     return MoebiusElement(np.conj(g.alpha), -g.beta)
 
 
-def power(g: MoebiusElement, n: int) -> MoebiusElement:
-    """g composed with itself n times (n may be negative)."""
-    if n < 0:
-        return power(inverse(g), -n)
-    out = identity()
-    base = g
-    while n:
-        if n & 1:
-            out = compose(out, base)
-        n >>= 1
-        if n:
-            base = compose(base, base)
-    return out
-
-
 def act_disc(g: MoebiusElement, z: complex) -> complex:
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:

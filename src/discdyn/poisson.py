@@ -1,25 +1,28 @@
 """Harmonic extension of boundary data and the compact-open metric.
 
-Everything rests on one closed form: for z = r*e^{it} inside the disc, the
-Poisson kernel (1-r^2)/|e^{is}-z|^2 has the increasing antiderivative
+Extensions of piecewise-constant data with jumps J_j = v_j - v_{j-1} at s_j
+are one closed form, the Fourier series of the data summed:
 
-    V(s) = 2*atan(((1+r)/(1-r)) * tan((s-t)/2)),
+    u(z) = mean(f) - (1/pi) sum_j J_j arg(1 - z e^{-is_j}),
 
-unwrapped across the tangent poles so that V is continuous and
-V(s + 2pi) = V(s) + 2pi exactly.  Extensions of piecewise-constant data are
-finite sums of V differences; no quadrature is involved (adaptive quadrature
-is used only as an independent oracle in the test suite).
+a principal value each, as Re(1 - z e^{-is}) > 0 inside the disc.  No
+quadrature is involved (adaptive quadrature is used only as an independent
+oracle in the test suite).  The arc action of `arcspace` uses the increasing
+antiderivative V(s) = 2*atan(((1+r)/(1-r)) * tan((s-t)/2)) of the Poisson
+kernel (1-r^2)/|e^{is}-z|^2 at z = r*e^{it}, unwrapped across the tangent
+poles so that V(s + 2pi) = V(s) + 2pi exactly.
 
 The metric is ||phi|| = sum_n sup_{|z|<=1-1/n} |phi| / (n^2 2^n), truncated at
 n_max, and is evaluated spectrally: with jumps J_j at s_j the data have
 Fourier coefficients c_k = sum_j J_j e^{-iks_j} / (2pi ik), computed once per
 call, and each circle |z| = r is one inverse FFT of c_k r^|k|.  Grid maxima
 become true sups through a bound on |d^2u/dt^2| read off the coefficients
-(at most J r / (pi (1-r)^2), J = sum |J_j|), with cells refined by the
-closed form.  Every reported value
+(at most J r / (pi (1-r)^2), J = sum |J_j|): each grid cell over budget is
+quartered, its new points from the closed form.  Every reported value
 carries an error bar that is an upper bound by construction: the series tail,
 the unrepresented arcs, and per level the cell allowance, the truncation tail
-J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the FFT rounding.  Level
+J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the rounding of the FFT
+and of the closed form, which grows like n sum |J_j| on K_n.  Level
 n counts with weight w_n = 1/(n^2 2^n), so both its cell allowance and its
 truncation tail are budgeted by weight (_SUP_BUDGET / w_n, _TAIL_BUDGET / w_n):
 deep levels take few terms and coarse grids.
@@ -47,10 +50,10 @@ NORM_OF_ONE = 0.5822405264650125
 # spectral circle sups (see metric_norm)
 _TAIL_BUDGET = 1e-14  # weighted truncation tail of the damped series each level may leave
 _TERM_CAP = 1 << 13  # series terms beyond which a level is not computed
-_CHUNK_PAIRS = 1 << 18  # array entries formed at once: exponentials or circle points
+_CHUNK_PAIRS = 1 << 18  # array entries formed at once: exponentials, circle points, pairs
 _SUP_BUDGET = 1e-11  # weighted cell allowance each level may leave in the bar
-_HALVINGS = 24  # refinement rounds per level
-_CELL_CAP = 1 << 10  # cells one round may halve on a circle; past it the excess is in the bar
+_HALVINGS = 24  # halvings of a cell per level; a refinement round quarters, two at once
+_CELL_CAP = 1 << 10  # cells one round may split on a circle; past it the excess is in the bar
 
 
 class NearBoundaryError(ValueError):
@@ -87,24 +90,43 @@ def angle_antiderivative(z, s):
 
 
 def extend_many(f: BoundaryFunction, zs) -> np.ndarray:
-    """Harmonic extension of f at an array of interior points."""
+    """Harmonic extension of f at an array of interior points.
+
+    The Fourier series of `_fourier_coefficients` summed in closed form: with
+    jumps J_j = v_j - v_{j-1} at s_j, u(z) = mean(f) - (1/pi) sum_j J_j
+    arg(1 - z e^{-is_j}).  Re(1 - z e^{-is}) > 0 for |z| < 1, so every arg is
+    a principal value: no unwrap, no pole.  On K_n the rounding is at most
+    `_closed_form_rounding`.
+    """
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     if flat.size and np.max(np.abs(flat)) > 1.0 - 1e-9:
         raise NearBoundaryError("points must satisfy |z| <= 1 - 1e-9")
     if f.breakpoints.size == 0:
         return np.full(zs.shape, complex(f.values[0]), dtype=complex)
-    out = np.empty(flat.shape, dtype=complex)
-    npieces = f.breakpoints.size
-    chunk = max(1, int(4_000_000) // max(1, npieces))
+    jumps = f.jumps().view(float).reshape(-1, 2) / -math.pi  # real and imaginary parts
+    e = np.exp(-1j * f.breakpoints)
+    out = np.empty((flat.size, 2))
+    chunk = max(1, _CHUNK_PAIRS // f.breakpoints.size)
     for i in range(0, flat.size, chunk):
-        z = flat[i : i + chunk, None]
-        v = angle_antiderivative(z, f.breakpoints[None, :])
-        dv = np.empty_like(v)
-        dv[:, :-1] = v[:, 1:] - v[:, :-1]
-        dv[:, -1] = v[:, 0] + TWO_PI - v[:, -1]
-        out[i : i + chunk] = dv @ f.values / TWO_PI
-    return out.reshape(zs.shape)
+        w = np.multiply.outer(flat[i : i + chunk], e)
+        out[i : i + chunk] = np.angle(np.subtract(1.0, w, out=w)) @ jumps
+    return (out.view(complex)[:, 0] + f.mean()).reshape(zs.shape)
+
+
+def _closed_form_rounding(f: BoundaryFunction, n):
+    """Bound on the rounding of `extend_many` at points of K_n (n may be an array).
+
+    In units u = eps/2 of sum_j |J_j| / pi: z e^{-is} is off by at most 6 and
+    1 - z e^{-is} by 8, so its arg, as |1 - z e^{-is}| >= 1/n on K_n, by
+    8n + 4; the sum of N terms adds N pi/2 and the jumps J_j / (-pi) add pi.
+    The mean adds N + 8 units of sup|f|.
+    """
+    eps = np.finfo(float).eps
+    npieces = f.breakpoints.size
+    jump_sum = float(np.sum(np.abs(f.jumps())))
+    return eps * ((4.0 * np.asarray(n) + 4.0 + npieces) * jump_sum / math.pi
+                  + (npieces + 4.0) * f.sup_norm())
 
 
 def extend(f: BoundaryFunction, z: complex) -> complex:
@@ -173,7 +195,7 @@ def _fourier_coefficients(f: BoundaryFunction, k: int) -> tuple[np.ndarray, np.n
     e^{-i(k0+j)s} = e^{-ik0 s} e^{-ijs}, at most _CHUNK_PAIRS of them at once.
     """
     br = f.breakpoints
-    jumps = f.values - np.roll(f.values, 1)
+    jumps = f.jumps()
     both = np.stack([jumps, jumps.conj()], axis=1)
     pos = np.empty(k + 1, dtype=complex)
     neg = np.empty(k + 1, dtype=complex)
@@ -250,15 +272,17 @@ def _level_sups(
     is sampled on sizes[i] points with the terms |j| <= k that fit.  With
     |d^2u/dt^2| <= C = sum_{|j|<=k} j^2 |c_j| r^|j| + (J/pi) sum_{j>k} j r^j
     (as |c_j| <= J/(2pi|j|); at most J r/(pi(1-r)^2)), a cell of width h has
-    sup at most max(|u(a)|, |u(b)|) + h^2 C / 8.  Cells whose bound exceeds
-    their circle's best value by more than tols[i] are halved, on all circles
-    at once, and their midpoints evaluated with the closed form `extend_many`.
-    A circle stops after _HALVINGS rounds, or when more than _CELL_CAP of its
-    cells are candidates.  error = the largest cell excess left, plus the
-    truncation tail J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the
-    series, the FFT and the closed form.  The caller sizes k and the grid to a
-    weighted truncation budget per level, so the tail may be large where the
-    weight is small; C covers the terms past k either way.
+    sup at most max(|u(a)|, |u(b)|) + h^2 C / 8.  Every grid cell's bound is
+    formed on the sampled circles; those within tols[i] of their circle's best
+    value are final, and the others are quartered, on all circles at once,
+    their three new points evaluated with the closed form `extend_many` in one
+    call per round.  A circle stops after _HALVINGS / 2 rounds (cells of width
+    h / 2^_HALVINGS), or when more than _CELL_CAP of its cells are over budget.
+    error = the largest cell excess left, plus the truncation tail
+    J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the series, the FFT and
+    the closed form.  The caller sizes k and the grid to a weighted truncation
+    budget per level, so the tail may be large where the weight is small; C
+    covers the terms past k either way.
     """
     levels = radii.size
     k = np.minimum(pos.size - 1, sizes // 2 - 1)
@@ -269,51 +293,53 @@ def _level_sups(
     ) / (1.0 - radii) ** 2
     curv = np.empty(levels)  # C / 8 per circle
     best = np.empty(levels)
-    top = np.full(levels, -math.inf)  # largest final cell bound per circle
-    pool = []  # per chunk, the first cells of circles that may need halving
+    top = np.empty(levels)  # largest final cell bound per circle
+    pool = []  # per chunk, the grid cells over budget
     for m in np.unique(sizes):
         rows = np.flatnonzero(sizes == m)
         step = max(1, _CHUNK_PAIRS // m)
         for i in range(0, rows.size, step):
             chunk = rows[i : i + step]
             u, d2 = _circle_values(pos, neg, radii[chunk], m)
-            vals = np.abs(u)
+            left = np.abs(u)
+            # cell j runs from point j to point j + 1 (np.roll(left, -1, axis=1))
+            right = np.concatenate((left[:, 1:], left[:, :1]), axis=1)
             curv[chunk] = (rest_d2[chunk] + d2) / 8.0
-            best[chunk] = vals.max(axis=1)
+            best[chunk] = left.max(axis=1)
             allow = (TWO_PI / m) ** 2 * curv[chunk]
-            sel = allow > tols[chunk]
-            top[chunk] = np.where(sel, -math.inf, best[chunk] + allow)
-            if sel.any():
-                cand = vals[sel]
-                pool.append((np.repeat(chunk[sel], m), np.full(cand.size, TWO_PI / m),
-                             np.tile(np.arange(m) * (TWO_PI / m), cand.shape[0]),
-                             cand.ravel(), np.roll(cand, -1, axis=1).ravel()))
-    if pool:
-        lev, h, start, left, right = (np.concatenate(part) for part in zip(*pool))
-        for rnd in range(_HALVINGS + 1):
-            bound = np.maximum(left, right) + h * h * curv[lev]
-            over = bound > best[lev] + tols[lev]
-            if rnd == _HALVINGS:
-                over[:] = False
-            else:
-                over &= (np.bincount(lev[over], minlength=levels) <= _CELL_CAP)[lev]
-            np.maximum.at(top, lev[~over], bound[~over])
-            if not over.any():
-                break
-            lev, start, left, right = lev[over], start[over], left[over], right[over]
-            h = 0.5 * h[over]
-            z = radii[lev] * np.exp(1j * (start + h))
-            step = max(1, _CHUNK_PAIRS // f.breakpoints.size)
-            mid = np.abs(np.concatenate(
-                [extend_many(f, z[i : i + step]) for i in range(0, z.size, step)]))
-            np.maximum.at(best, lev, mid)
-            start = np.concatenate([start, start + h])
-            lev, h = np.concatenate([lev, lev]), np.concatenate([h, h])
-            left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+            # a cell's bound is its larger end + allow; over budget past best + tols
+            ends = np.maximum(left, right)
+            over = ends > (best[chunk] + tols[chunk] - allow)[:, None]
+            row, col = np.divmod(np.flatnonzero(over), m)
+            pool.append((chunk[row], col * (TWO_PI / m), left[row, col], right[row, col]))
+            ends[over] = -math.inf
+            top[chunk] = ends.max(axis=1) + allow
+    lev, start, left, right = (np.concatenate(part) for part in zip(*pool))
+    quarters = np.arange(4.0)[:, None]
+    rounds = _HALVINGS // 2
+    for rnd in range(rounds + 1):
+        h = TWO_PI / sizes * 0.25**rnd  # the width of every cell of a circle
+        bound = np.maximum(left, right) + (h * h * curv)[lev]
+        over = bound > (best + tols)[lev]
+        if rnd == rounds:
+            over[:] = False
+        elif np.count_nonzero(over) > _CELL_CAP:  # else no circle can pass the cap
+            over &= (np.bincount(lev[over], minlength=levels) <= _CELL_CAP)[lev]
+        np.maximum.at(top, lev[~over], bound[~over])
+        if not over.any():
+            break
+        lev, start, left, right = lev[over], start[over], left[over], right[over]
+        step = 0.25 * h[lev]
+        mid = np.abs(extend_many(f, radii[lev] * np.exp(1j * (start + step * quarters[1:]))))
+        np.maximum.at(best, lev, mid.max(axis=0))
+        # quarter q runs from point q to q + 1 of (left, mid[0], mid[1], mid[2], right)
+        start = (start + step * quarters).ravel()
+        lev = np.concatenate((lev,) * 4)
+        left, right = np.concatenate((left, mid.ravel())), np.concatenate((mid.ravel(), right))
     tail = _truncation_tail(jump_sum, radii, k)
     rounding = 1e-14 * np.log2(sizes) * (
         abs(pos[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii)) + 1.0
-    ) + 1e-15 * float(np.sum(np.abs(f.values)))
+    ) + _closed_form_rounding(f, 1.0 / (1.0 - radii))
     return best, (top - best) + tail + rounding
 
 
@@ -332,7 +358,7 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     - the unrepresented arcs: their tail bound times the Poisson kernel mass
       they can carry on each K_n;
     - sum_n w_n (cell allowance + truncation tail + rounding), the rounding
-      covering the series, the FFT and the closed-form midpoints.
+      covering the series, the FFT and the closed-form points of refinement.
 
     From the first level needing more than _TERM_CAP series terms on, levels
     report the last computed level's sup (a lower bound, since K_n grows) and
@@ -345,7 +371,7 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     if f.breakpoints.size == 0:
         sups[:] = abs(complex(f.values[0]))
     else:
-        jump_sum = float(np.sum(np.abs(f.values - np.roll(f.values, 1))))
+        jump_sum = float(np.sum(np.abs(f.jumps())))
         radii = ex.radius(np.arange(2, ex.n_max + 1))
         with np.errstate(divide="ignore", over="ignore"):  # weight 0: no limit
             tail_tols, sup_tols = _TAIL_BUDGET / w[1:], _SUP_BUDGET / w[1:]

@@ -27,7 +27,6 @@ from discdyn import (
     metric_distance,
     parabolic_shift,
     rotation,
-    sensitivity_probe,
     translate_boundary,
 )
 from discdyn.chaos import DenseOrbitSchedule
@@ -303,13 +302,3 @@ class TestConjugacy:
             conjugating_map(hyperbolic_multiplier(2.0), parabolic_shift(1.0))
         with pytest.raises(NotConjugateError):
             conjugating_map(rotation(0.5), rotation(0.7))
-
-
-class TestSensitivity:
-    def test_separation_amplified(self):
-        phi = HarmonicFunction(BoundaryFunction([0.0, math.pi], [1.0, 0.0]))
-        pert = HarmonicFunction(BoundaryFunction([0.02, math.pi], [1.0, 0.0]))
-        worst, rows = sensitivity_probe(phi, hyperbolic_multiplier(2.0), [pert], n_max=8)
-        d0 = [d for (_, n, d) in rows if n == 0][0]
-        assert worst > 20 * d0
-        assert len(rows) == 9

@@ -23,7 +23,6 @@ from discdyn import (
     inverse,
     multiplier,
     parabolic_shift,
-    power,
     rotation,
     to_half_plane,
 )
@@ -64,16 +63,6 @@ class TestGroupAxioms:
     def test_unit_determinant_after_compose(self, g):
         det = abs(g.alpha) ** 2 - abs(g.beta) ** 2
         assert abs(det - 1.0) < 1e-12
-
-    def test_power_matches_repeated_compose(self, rng):
-        for _ in range(20):
-            g = random_element(rng, spread=0.5)
-            n = int(rng.integers(0, 7))
-            h = identity()
-            for _ in range(n):
-                h = compose(h, g)
-            assert dist(power(g, n), h) < 1e-12
-        assert dist(power(g, -2), inverse(compose(g, g))) < 1e-12
 
 
 class TestNormalization:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,8 +185,14 @@ class TestMetric:
         assert fuzzed.unrepresented_length() == pytest.approx(0.02)
 
 
+def _by_antiderivative(f, zs):
+    """u(z) = sum_j v_j (V(s_{j+1}) - V(s_j)) / 2pi: shares no kernel with extend_many."""
+    v = poisson.angle_antiderivative(np.asarray(zs, dtype=complex)[..., None], f.breakpoints)
+    return np.diff(v, append=v[..., :1] + TWO_PI, axis=-1) @ f.values / TWO_PI
+
+
 def _oracle_lower(f, levels=12, grid=1024):
-    """Weighted lower bound on the 40-level norm from the closed form alone.
+    """Weighted lower bound on the 40-level norm from the antiderivative alone.
 
     Levels 2..levels: max |extension| on a uniform grid of the circle, polished
     by a bounded scalar search around the top 4 grid cells.  Every value is |u|
@@ -194,15 +201,15 @@ def _oracle_lower(f, levels=12, grid=1024):
     """
     w = CompactExhaustion().weights()
     sups = np.empty(w.size)
-    sups[0] = abs(extend(f, 0.0))
+    sups[0] = abs(_by_antiderivative(f, 0.0))
     ang = np.arange(grid) * (TWO_PI / grid)
     for n in range(2, levels + 1):
         r = 1.0 - 1.0 / n
-        vals = np.abs(extend_many(f, r * np.exp(1j * ang)))
+        vals = np.abs(_by_antiderivative(f, r * np.exp(1j * ang)))
         best = float(vals.max())
         for i in np.argsort(vals)[-4:]:
             res = minimize_scalar(
-                lambda t: -abs(extend(f, r * np.exp(1j * t))),
+                lambda t: -abs(_by_antiderivative(f, r * np.exp(1j * t))),
                 bounds=(ang[i] - TWO_PI / grid, ang[i] + TWO_PI / grid),
                 method="bounded", options={"xatol": 1e-10},
             )
@@ -358,10 +365,13 @@ class TestSpectralSups:
         assert v40 <= deep + deep_bar and deep <= v40 + b40
 
     def test_work_per_call_is_bounded(self, monkeypatch):
-        # counters, not timers: coefficient terms and FFT points per metric call
-        # on 16-piece translate differences
-        terms, points = [], []
+        # counters, not timers: coefficient terms, FFT points, closed-form calls
+        # and midpoints per metric call on 16-piece translate differences
+        terms, points, midpoints = [], [], []
         coefficients, circle_values = poisson._fourier_coefficients, poisson._circle_values
+        closed_form = poisson.extend_many
+        monkeypatch.setattr(poisson, "extend_many",
+                            lambda f, zs: midpoints.append(np.size(zs)) or closed_form(f, zs))
         monkeypatch.setattr(poisson, "_fourier_coefficients",
                             lambda f, k: terms.append(k) or coefficients(f, k))
         monkeypatch.setattr(poisson, "_circle_values",
@@ -374,9 +384,55 @@ class TestSpectralSups:
             g = random_element(rng)
             calls = len(terms)
             points.clear()
+            midpoints.clear()
             metric_distance(f, translate_boundary(f, g), ex)
             assert len(terms) == calls + 1
             assert terms[-1] <= 300 and sum(points) <= 20_000
+            # refinement rounds and the points they add (at most 5 and 1992 here)
+            assert len(midpoints) <= 7 and sum(midpoints) <= 2_500
+
+    def test_closed_form_rounding_is_bounded(self):
+        # 40-digit harmonic measures of the arcs at points 1e-2 and 1e-4 from
+        # each breakpoint, where |1 - z e^{-is}| is about 1/n on K_n
+        def exact(f, z):
+            z = mpmath.mpc(complex(z))
+            br = [mpmath.mpf(float(s)) for s in f.breakpoints]
+            br.append(br[0] + 2 * mpmath.pi)
+            out = mpmath.mpc(0)
+            for a, b, v in zip(br, br[1:], f.values):
+                seen = mpmath.arg((mpmath.expj(b) - z) / (mpmath.expj(a) - z)) % (2 * mpmath.pi)
+                out += (seen / mpmath.pi - (b - a) / (2 * mpmath.pi)) * mpmath.mpc(complex(v))
+            return complex(out)
+
+        for seed, pieces in [(21, 4), (22, 4), (23, 4), (24, 4), (25, 16)]:
+            f = random_boundary(np.random.default_rng(seed), pieces)
+            for n in (2, 12, 40):
+                offsets = np.array([1e-2, -1e-2, 1e-4, -1e-4])[:, None]
+                zs = ((1.0 - 1.0 / n) * np.exp(1j * (f.breakpoints + offsets))).ravel()
+                with mpmath.workdps(40):
+                    exact_u = np.array([exact(f, z) for z in zs])
+                err = np.abs(extend_many(f, zs) - exact_u)
+                assert np.max(err) <= poisson._closed_form_rounding(f, n), (seed, n)
+
+    def test_each_cell_is_closed_by_its_own_right_end(self, monkeypatch):
+        # a 1e-3-wide arc of value 1 peaks sharply at its middle direction, where
+        # the harmonic measure is largest on every circle; a cell bounded with
+        # another cell's end, on the grid or after quartering, loses the peak
+        found = []
+        level_sups = poisson._level_sups
+        monkeypatch.setattr(poisson, "_level_sups",
+                            lambda *a: found.append(level_sups(*a)) or found[-1])
+        width = 1e-3
+        r = CompactExhaustion().radius(np.arange(2, 41))
+        for start in np.linspace(0.1, 6.0, 30):
+            f = BoundaryFunction([start, start + width], [1.0, 0.0])
+            metric_norm(HarmonicFunction(f), CompactExhaustion())
+            best, err = found.pop()
+            z = r * np.exp(1j * (start + width / 2))
+            seen = np.angle((np.exp(1j * (start + width)) - z) / (np.exp(1j * start) - z))
+            sup = (seen % TWO_PI - width / 2) / math.pi
+            assert np.all(best <= sup + 1e-12), start
+            assert np.all(sup <= best + err), (start, np.flatnonzero(sup > best + err) + 2)
 
 
 class TestLimitDiagnostic:
