@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -285,96 +284,76 @@ def cayley_inv(x: float) -> complex:
     return z / abs(z)
 
 
-def line_to_angle(x: float) -> float:
-    """Angle of the boundary point at line coordinate x: 2*atan(x) mod 2pi."""
-    if math.isinf(x):
-        return math.pi
-    return float(wrap_angle(2.0 * math.atan(x)))
+def line_to_angle(x):
+    """Angle of the boundary point at line coordinate x: 2*atan(x) mod 2pi.
+
+    Scalars and arrays go through the same ufuncs, so they agree bit for bit;
+    either infinity maps to pi."""
+    s = wrap_angle(2.0 * np.arctan(x))
+    return s if np.ndim(s) else float(s)
 
 
-def angle_to_line(s: float) -> float:
+def angle_to_line(s):
     """Line coordinate at angle s: tan(s/2); angle pi maps to inf exactly."""
-    s = float(wrap_angle(s))
-    if s == math.pi:
-        return INF
-    return math.tan(0.5 * s)
+    s = wrap_angle(s)
+    x = np.where(s == math.pi, INF, np.tan(0.5 * s))
+    return x if np.ndim(x) else float(x)
 
 
-def _segment_to_arc(lo: float, hi: float):
-    """Interval of the compactified line -> (start_angle, width); lo > hi wraps
-    through infinity.  (-inf, inf) is the whole line."""
-    if math.isinf(lo) and math.isinf(hi):
-        if lo < 0.0 < hi:
-            return 0.0, TWO_PI
-        return math.pi, 0.0
-    a = line_to_angle(lo)
-    b = line_to_angle(hi)
-    w = (b - a) % TWO_PI
-    return a, w
+def _line_arcs(lo, hi):
+    """(start angle, end angle, width) of the line intervals from lo to hi,
+    wrapping through infinity when lo > hi; (-inf, inf) is the whole line."""
+    lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
+    a, b = line_to_angle(lo), line_to_angle(hi)
+    return a, b, np.where((lo == -INF) & (hi == INF), TWO_PI, np.mod(b - a, TWO_PI))
 
 
-def _check_disjoint_arcs(arcs):
-    # sorted by start angle, arcs are pairwise disjoint iff each ends before
-    # the next begins, cyclically; an arc swallowing a non-adjacent one must
-    # first cover the starts between them, so consecutive checks suffice
-    n = len(arcs)
-    if n <= 1:
-        return
-    order = sorted(range(n), key=lambda i: arcs[i][0])
-    for pos in range(n):
-        i = order[pos]
-        j = order[(pos + 1) % n]
-        ai, wi = arcs[i]
-        if wi >= TWO_PI:
+def _disjoint_order(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Order of the arcs (start a, width w) by start, once they are checked
+    disjoint: sorted by start, arcs are pairwise disjoint iff each ends
+    before the next begins, cyclically; an arc swallowing a non-adjacent one
+    must first cover the starts between them, so consecutive checks suffice."""
+    order = np.argsort(a, kind="stable")
+    if a.size > 1:
+        if np.any(w >= TWO_PI):
             raise InvalidPartitionError("full-line segment overlaps everything")
-        gap = (arcs[j][0] - ai) % TWO_PI
-        if pos == n - 1:
-            gap = arcs[j][0] + TWO_PI - ai
-        if gap < wi - 1e-12:
+        s = a[order]
+        bad = np.flatnonzero(np.diff(s, append=s[0] + TWO_PI) < w[order] - 1e-12)
+        if bad.size:
+            i, j = order[bad[0]], order[(bad[0] + 1) % a.size]
             raise InvalidPartitionError(f"segments {i} and {j} overlap on the circle")
+    return order
 
 
-def from_line_segments(
-    segments: Sequence[tuple[float, float, complex]],
-) -> BoundaryFunction:
+def from_line_segments(lo, hi, values) -> BoundaryFunction:
     """Boundary function from disjoint intervals of the compactified line.
 
-    Each entry is (lo, hi, value); the interval runs from lo to hi in the
-    increasing direction, wrapping through infinity when lo > hi.  Unset
-    regions get 0.  Degenerate (zero-length) intervals vanish.
+    Interval j runs from lo[j] to hi[j] in the increasing direction, wrapping
+    through infinity when lo[j] > hi[j], and carries values[j].  Unset
+    regions get 0.  Intervals narrower than DEDUP on the circle vanish.
     """
-    arcs = []
-    vals = []
-    for lo, hi, v in segments:
-        v = complex(v)
-        _check_unit_ball([v])
-        a, w = _segment_to_arc(float(lo), float(hi))
-        if w < DEDUP:
-            continue
-        arcs.append((a, w))
-        vals.append(v)
-    _check_disjoint_arcs(arcs)
-    if not arcs:
+    vals = np.atleast_1d(np.asarray(values, dtype=complex))
+    _check_unit_ball(vals)
+    a, b, w = _line_arcs(lo, hi)
+    keep = w >= DEDUP
+    a, b, w, vals = a[keep], b[keep], w[keep], vals[keep]
+    order = _disjoint_order(a, w)
+    if a.size == 0:
         return BoundaryFunction.constant(0.0)
-    if len(arcs) == 1 and arcs[0][1] >= TWO_PI:
+    if w[0] >= TWO_PI:  # the only arc, or the check above raised
         return BoundaryFunction.constant(vals[0])
-    cuts = []
-    for a, w in arcs:
-        cuts.append(a)
-        cuts.append(float(wrap_angle(a + w)))
-    br = np.array(sorted(set(cuts)))
+    br = np.unique(np.concatenate((a, b)))
     br = br[_dedup_mask(br)]
-    widths = np.diff(br, append=br[0] + TWO_PI)
-    mids = br + 0.5 * widths
-    out = np.zeros(br.size, dtype=complex)
-    for (a, w), v in zip(arcs, vals):
-        inside = np.mod(mids - a, TWO_PI) < w
-        out[inside] = v
-    return BoundaryFunction(br, out)
+    mids = br + 0.5 * np.diff(br, append=br[0] + TWO_PI)
+    a, w, vals = a[order], w[order], vals[order]
+    # the arc starting last before each midpoint, cyclically, is the only
+    # one that can hold it
+    j = np.searchsorted(a, mids, side="right") - 1
+    return BoundaryFunction(br, np.where(np.mod(mids - a[j], TWO_PI) < w[j], vals[j], 0.0))
 
 
-def arc_length_of_region(segments: Iterable[tuple[float, float]]) -> float:
-    """Total circle arclength of the image of disjoint line intervals."""
-    arcs = [_segment_to_arc(float(lo), float(hi)) for lo, hi in segments]
-    _check_disjoint_arcs(arcs)
-    return float(sum(w for _, w in arcs))
+def arc_length_of_region(lo, hi) -> float:
+    """Total circle arclength of the image of disjoint line intervals lo -> hi."""
+    a, _, w = _line_arcs(lo, hi)
+    _disjoint_order(a, w)
+    return float(w.sum())

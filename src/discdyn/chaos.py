@@ -15,9 +15,14 @@ Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
 f -> f o h and intertwines the two translation actions.
 
-Line windows use the angle coordinate s(x) = 2*atan(x); all window content is
-materialized exactly as piecewise-constant data, with far translates beyond a
-resolution floor certified into error bars instead of being materialized.
+Windows are arrays (lo, hi, value) in the line coordinate x = tan(s/2), each
+target's pieces computed once; a translate term moves them by an exact scale
+lam^e or shift -e*a, and `from_line_segments` turns them into angles
+s(x) = 2*atan(x) in one pass.  Level n's translate of the dense seed is built
+the same way, window m scaled by lam^(k_n - k_m), so window n lands on
+[1/n, n] at full resolution and no group element gamma^{k_n} is formed.  Far
+periodic translates beyond a resolution floor are certified into error bars
+instead of being materialized.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .boundary import (
     TWO_PI,
     Arc,
     BoundaryFunction,
-    _segment_to_arc,
+    _line_arcs,
     angle_to_line,
     arc_length_of_region,
     compose_with_moebius,
@@ -199,45 +204,61 @@ class TargetFamily:
 # --- line windows ------------------------------------------------------------
 
 
-def _restrict_line(
-    f: BoundaryFunction, lo: float, hi: float
-) -> list[tuple[float, float, complex]]:
-    """Pieces of f (as a function of the line coordinate) on the finite [lo, hi]."""
-    xs = []
-    for s in f.breakpoints:
-        x = angle_to_line(float(s))
-        if math.isfinite(x) and lo < x < hi:
-            xs.append(x)
-    pts = [lo] + sorted(xs) + [hi]
-    out = []
-    for u, v in zip(pts, pts[1:]):
-        if v - u <= 0.0:
-            continue
-        out.append((u, v, f.evaluate(line_to_angle(0.5 * (u + v)))))
-    return out
+def _window_pieces(f: BoundaryFunction, kind: str, n: int):
+    """Pieces (lo, hi, value) of f, as a function of the line coordinate, on
+    window n: +-[1/n, n] (hyperbolic) or [-n, n] (parabolic)."""
+    xs = np.sort(angle_to_line(f.breakpoints))
+    ends = [(1.0 / n, n), (-n, -1.0 / n)] if kind == "hyperbolic" else [(-n, n)]
+    pts = [np.concatenate(([u], xs[(u < xs) & (xs < v)], [v])) for u, v in ends]
+    lo, hi = np.concatenate([p[:-1] for p in pts]), np.concatenate([p[1:] for p in pts])
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    return lo, hi, f.evaluate(line_to_angle(0.5 * (lo + hi)))
 
 
-def _shifted(segs, scale=1.0, shift=0.0):
-    return [(u * scale + shift, v * scale + shift, val) for u, v, val in segs]
+def _moved(pieces, kind: str, rate: float, e):
+    """The pieces moved by gamma^e, e broadcasting against them, as one set
+    of arrays: an exact scale by rate^e (hyperbolic) or shift by -e*rate
+    (parabolic)."""
+    lo, hi, val = pieces
+    if kind == "hyperbolic":
+        lo, hi = lo * rate**e, hi * rate**e
+    else:
+        lo, hi = lo - e * rate, hi - e * rate
+    return lo.ravel(), hi.ravel(), np.broadcast_to(val, lo.shape).ravel()
 
 
 def _arc_of_line_interval(lo: float, hi: float) -> Arc:
-    a, width = _segment_to_arc(lo, hi)
-    return Arc(complex(math.cos(a), math.sin(a)), width)
-
-
-def _translate_window_segments(f, kind, rate, n, k, m):
-    """Segments of the m-th translate term (window restriction of f moved by gamma^{mk})."""
-    if kind == "hyperbolic":
-        s = rate ** (m * k)
-        return _shifted(_restrict_line(f, 1.0 / n, float(n)), scale=s) + _shifted(
-            _restrict_line(f, -float(n), -1.0 / n), scale=s
-        )
-    shift = -m * k * rate
-    return _shifted(_restrict_line(f, -float(n), float(n)), shift=shift)
+    (a,), _, (width,) = _line_arcs(lo, hi)
+    return Arc(complex(math.cos(a), math.sin(a)), float(width))
 
 
 # --- dense seed --------------------------------------------------------------
+
+
+def _dense_windows(family: TargetFamily, sched: DenseOrbitSchedule, lvl: int):
+    """Window m's pieces of f_m in the line coordinate, for m = 1..lvl, as
+    one set of arrays (lo, hi, value, k_m)."""
+    pieces = [_window_pieces(f, sched.kind, m) for m, f in enumerate(family.functions[:lvl], 1)]
+    ks = np.repeat(np.array(sched.ks[:lvl], dtype=float), [p[0].size for p in pieces])
+    return tuple(np.concatenate(p) for p in zip(*pieces)) + (ks,)
+
+
+def _dense_translate(windows, sched: DenseOrbitSchedule, lvl: int, n_family: int, k0: int):
+    """The k0-indexed translate of the seed with windows 1..lvl (k0 = 0: the
+    seed itself), built in the line coordinate: window m moves by the
+    exponent k0 - k_m, an exact scale lam^(k0 - k_m) or shift a (k_m - k0),
+    so window m lands on [1/m, m] (or [-m, m]) at k0 = k_m."""
+    *pieces, ks = windows
+    mat = from_line_segments(*_moved(pieces, sched.kind, sched.rate, k0 - ks))
+    if lvl == n_family:
+        return HarmonicFunction(mat)
+    k = sched.ks[lvl]  # the first level left out
+    if sched.kind == "hyperbolic":
+        cutoff = (lvl + 1) * sched.rate ** (k0 - k)
+        unrep = _arc_of_line_interval(-cutoff, cutoff)
+    else:
+        unrep = _arc_of_line_interval(sched.rate * (k - k0) - (lvl + 1), math.inf)
+    return HarmonicFunction(mat, (unrep,), 1.0)
 
 
 def build_dense_seed(
@@ -262,28 +283,7 @@ def build_dense_seed(
     lvl = n_family if level is None else int(level)
     if not 1 <= lvl <= n_family:
         raise ValueError(f"level {lvl} outside 1..{n_family}")
-
-    # window n holds the m = -1 translate term of f_n with period exponent k_n
-    segs = []
-    for n in range(1, lvl + 1):
-        segs += _translate_window_segments(
-            family.functions[n - 1], sched.kind, sched.rate, n, sched.ks[n - 1], -1
-        )
-    mat = from_line_segments(segs)
-
-    if lvl == n_family:
-        unrep: tuple[Arc, ...] = ()
-        tail = 0.0
-    elif sched.kind == "hyperbolic":
-        cutoff = sched.b(lvl + 1)
-        unrep = (_arc_of_line_interval(-cutoff, cutoff),)
-        tail = 1.0
-    else:
-        lo, _ = sched.window(lvl + 1)
-        unrep = (_arc_of_line_interval(lo, math.inf),)
-        tail = 1.0
-
-    return HarmonicFunction(mat, unrep, tail)
+    return _dense_translate(_dense_windows(family, sched, lvl), sched, lvl, n_family, 0)
 
 
 def translate_boundary(phi: HarmonicFunction, g: MoebiusElement) -> HarmonicFunction:
@@ -315,7 +315,8 @@ def dense_orbit_report(
     """Per-level certificate rows (n, k_n, dist, bound, bar).
 
     dist is the metric distance between the k_n-indexed translate of the seed
-    extension and the n-th family extension; bound = arclength(A_n^c)/pi.
+    extension, built in the line coordinate, and the n-th family extension;
+    bound = arclength(A_n^c)/pi.
     For the parabolic window placement the matching group power is the
     Z-action index -k_n (the translate is f_inf o gamma^{+k_n}); the certified
     inequality is the same.
@@ -324,19 +325,18 @@ def dense_orbit_report(
     n_levels = len(family) if n_levels is None else int(n_levels)
     if n_levels > len(family):
         raise ValueError("more levels requested than family members")
-    phi_inf = build_dense_seed(family, sched, min(len(family), n_levels + 2))
+    lvl = min(len(family), n_levels + 2)
+    windows = _dense_windows(family, sched, lvl)
     rows = []
     for n in range(1, n_levels + 1):
         k = sched.ks[n - 1]
-        if sched.kind == "hyperbolic":
-            g = moebius.hyperbolic_multiplier(sched.rate**k)  # gamma^{k}
-            comp = [(-1.0 / n, 1.0 / n), (float(n), -float(n))]
-        else:
-            g = moebius.parabolic_shift(-sched.rate * k)  # gamma^{-k}
-            comp = [(float(n), -float(n))]
-        shifted = translate_boundary(phi_inf, g)
+        shifted = _dense_translate(windows, sched, lvl, len(family), k)
         dist, bar = metric_distance(shifted, HarmonicFunction(family.functions[n - 1]), ex)
-        bound = arc_length_of_region(comp) / math.pi
+        if sched.kind == "hyperbolic":
+            comp = ([-1.0 / n, float(n)], [1.0 / n, -float(n)])
+        else:
+            comp = (float(n), -float(n))
+        bound = arc_length_of_region(*comp) / math.pi
         rows.append(CertificateRow(n, k, dist, bound, bar))
     return rows
 
@@ -359,12 +359,7 @@ class PeriodicApproximant:
 
     def materialize_range(self, m_lo: int, m_hi: int) -> BoundaryFunction:
         """Sum of the translate terms for m in [m_lo, m_hi], materialized exactly."""
-        segs = []
-        for m in range(m_lo, m_hi + 1):
-            segs += _translate_window_segments(
-                self.source, self.kind, self.rate, self.n, self.k, m
-            )
-        return from_line_segments(segs)
+        return _translate_terms(self.source, self.kind, self.rate, self.n, self.k, m_lo, m_hi)
 
     def l1_defect(self) -> tuple[float, float]:
         """(integral of |f - f_eps| over the circle, error bar)."""
@@ -466,6 +461,12 @@ def _unrep_arcs_periodic(kind, rate, n, k, m_cap):
     return arcs, float(sum(a.theta for a in arcs))
 
 
+def _translate_terms(f, kind, rate, n, k, m_lo, m_hi) -> BoundaryFunction:
+    """Window n of f moved by gamma^{mk} for each m in [m_lo, m_hi], materialized."""
+    exps = np.arange(m_lo, m_hi + 1.0)[:, None] * k
+    return from_line_segments(*_moved(_window_pieces(f, kind, n), kind, rate, exps))
+
+
 def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicApproximant:
     if len_floor is None:
         len_floor = 1e-9 if kind == "hyperbolic" else 1e-4
@@ -477,10 +478,7 @@ def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicAp
         if kind == "hyperbolic" and (m_cap + 2) * k * math.log2(rate) > 960:
             break
         m_cap += 1
-    segs = []
-    for m in range(-m_cap, m_cap + 1):
-        segs += _translate_window_segments(f, kind, rate, n, k, m)
-    mat = from_line_segments(segs)
+    mat = _translate_terms(f, kind, rate, n, k, -m_cap, m_cap)
     function = HarmonicFunction(mat, arcs, f.sup_norm())
     return PeriodicApproximant(function, gamma, kind, rate, n, k, m_cap, f)
 

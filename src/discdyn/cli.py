@@ -99,9 +99,9 @@ def _load_boundary(path) -> BoundaryFunction:
 
 
 def _save_boundary(path, f: BoundaryFunction, config: dict):
-    data = json.loads(f.to_json())
-    data["config"] = config
-    _write_json(path, data)
+    # the to_json() text as it is, the config added as its last key
+    with open(path, "w") as fh:
+        fh.write(f.to_json()[:-1] + ', "config": ' + json.dumps(config) + "}\n")
 
 
 def _element_from_args(args, suffix="") -> moebius.MoebiusElement:

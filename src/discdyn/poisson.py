@@ -222,19 +222,29 @@ def _truncation_tail(jump_sum: float, radii, k):
 
 
 def _terms_needed(jump_sum: float, radii: np.ndarray, tol) -> np.ndarray:
-    """Least k per radius whose truncation tail is at most tol (may be inf)."""
+    """Least k per radius whose truncation tail is at most tol (may be inf).
+
+    With y = k + 1, L = -log r and v = log(y L) the tail is at most tol iff
+    e^v + v >= c = log(L J / (tol pi (1-r))).  Newton on the convex e^v + v = c
+    from log c (c when c <= 1), above the root, falls to it monotonically; two
+    exact `_truncation_tail` tests then settle the rounding.  k never exceeds
+    the least k with r^{k+1} <= tol pi (1-r) / J, which suffices since
+    1/(k+1) <= 1; in logs, so a huge or infinite tol gives k = 0.
+    """
     if jump_sum == 0.0:
         return np.zeros(radii.shape, dtype=int)
-    # r^{k+1} <= tol pi (1-r) / J already suffices, since 1/(k+1) <= 1; in
-    # logs, so that a huge or infinite tol gives k = 0 without overflow
     log_arg = np.log(tol) + np.log(math.pi * (1.0 - radii) / jump_sum)
-    hi = np.maximum(0.0, np.ceil(log_arg / np.log(radii)) - 1.0)
-    lo = np.zeros_like(hi)
-    while np.any(lo < hi):
-        mid = np.floor(0.5 * (lo + hi))
-        ok = _truncation_tail(jump_sum, radii, mid) <= tol
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1.0)
-    return hi.astype(int)
+    rate = -np.log(radii)
+    c = np.maximum(np.log(rate) - log_arg, -700.0)  # e^v underflows below
+    v = np.where(c > 1.0, np.log(np.maximum(c, 1.0)), c)
+    for _ in range(6):
+        ev = np.exp(v)
+        v -= (ev + v - c) / (ev + 1.0)
+    k = np.maximum(np.ceil(np.exp(v) / rate) - 1.0, 0.0)
+    k += _truncation_tail(jump_sum, radii, k) > tol
+    k -= (k > 0.0) & (_truncation_tail(jump_sum, radii, np.maximum(k - 1.0, 0.0)) <= tol)
+    hi = np.maximum(0.0, np.ceil(log_arg / -rate) - 1.0)
+    return np.minimum(k, hi).astype(int)
 
 
 def _grid_size(k):
@@ -365,6 +375,10 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     add w_n times the gap up to sup|f| to the bar.
     """
     f = phi.boundary
+    moves = f.jumps() != 0.0  # a cut with no jump leaves the function as it is
+    if f.breakpoints.size and not moves.all():
+        f = BoundaryFunction(f.breakpoints[moves], f.values[moves]) if moves.any() else (
+            BoundaryFunction.constant(f.values[0]))
     w = ex.weights()
     sups = np.empty(ex.n_max)
     errs = np.zeros(ex.n_max)

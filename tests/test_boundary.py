@@ -155,8 +155,7 @@ class TestAlgebra:
         assert hv.tolist() == [1j, -1.0, -1.0]
         xs = [angle_to_line(s) for s in cuts]
         vals = [0.5, 0.25j, -1.0, 0.75, 1j]
-        segs = [(xs[i], xs[(i + 1) % 5], vals[i]) for i in range(5)]
-        line = from_line_segments(segs)
+        line = from_line_segments(xs, np.roll(xs, -1), vals)
         assert line.breakpoints.tolist() == survivors
         assert line.values.tolist() == [0.5, -1.0, 0.75]
 
@@ -239,11 +238,72 @@ class TestCayley:
 
     def test_from_line_segments_round_trip(self):
         segs = [(-2.0, -1.0, 0.5 + 0.0j), (1.0, 3.0, -0.25j)]
-        f = from_line_segments(segs)
+        f = from_line_segments(*zip(*segs))
         for u, v, val in segs:
             mid_angle = line_to_angle(0.5 * (u + v))
             assert f.evaluate(mid_angle) == val
         assert f.evaluate(line_to_angle(0.0)) == 0.0
+
+
+class TestLineSegments:
+    def test_scalar_and_array_conversions_agree_bit_for_bit(self, rng):
+        xs = np.concatenate((
+            rng.standard_normal(2000) * 10.0 ** rng.uniform(-20, 20, 2000),
+            [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0],
+        ))
+        angles = line_to_angle(xs)
+        assert angles.tolist() == [line_to_angle(float(x)) for x in xs]
+        assert line_to_angle(math.inf) == line_to_angle(-math.inf) == math.pi
+        back = angle_to_line(angles)
+        assert back.tolist() == [angle_to_line(float(s)) for s in angles]
+        assert angle_to_line(math.pi) == math.inf
+
+    def test_wraps_through_infinity(self):
+        f = from_line_segments([2.0], [-2.0], [0.5])
+        for x in (2.5, 1e6, math.inf, -1e6, -2.5):
+            assert f.evaluate(line_to_angle(x)) == 0.5
+        for x in (1.5, 0.0, -1.5):
+            assert f.evaluate(line_to_angle(x)) == 0.0
+        assert abs(f.mean() * TWO_PI - 0.5 * 4.0 * math.atan(0.5)) < 1e-14
+
+    def test_full_line(self):
+        f = from_line_segments([-math.inf], [math.inf], [0.25j])
+        assert f.breakpoints.size == 0 and f.values.tolist() == [0.25j]
+        with pytest.raises(InvalidPartitionError, match="full-line"):
+            from_line_segments([-math.inf, 0.0], [math.inf, 1.0], [0.25j, 0.5])
+
+    def test_degenerate_segments_are_dropped(self):
+        lo = [1.0, 3.0, math.inf, 0.0, 1.5]
+        hi = [1.0, 3.0 + 1e-16, -math.inf, 2.0, 1.5]
+        f = from_line_segments(lo, hi, [1.0, -1.0, 1j, 0.5, -0.5])
+        assert f.breakpoints.tolist() == line_to_angle(np.array([0.0, 2.0])).tolist()
+        assert f.values.tolist() == [0.5, 0.0]
+        assert from_line_segments([1.0], [1.0], [1.0]).values.tolist() == [0.0]
+        assert from_line_segments([], [], []).values.tolist() == [0.0]
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([0.0, 1.0], [2.0, 3.0]),        # plain overlap
+        ([0.0, 0.5], [2.0, 1.0]),        # one inside the other
+        ([2.0, 3.0], [-2.0, 4.0]),       # through infinity
+        ([-4.0, 2.0], [1.0, -3.0]),      # wrapped one reaching round to the other
+    ])
+    def test_overlapping_segments_raise(self, lo, hi):
+        with pytest.raises(InvalidPartitionError, match="overlap"):
+            from_line_segments(lo, hi, [0.5, -0.5])
+
+    def test_agrees_with_membership_on_the_line(self, rng):
+        for _ in range(20):
+            pts = np.sort(rng.standard_normal(2 * int(rng.integers(1, 12))) * 10.0)
+            lo, hi = pts[0::2], pts[1::2]
+            if rng.uniform() < 0.5:  # the last interval runs through infinity
+                lo, hi = hi, np.roll(lo, -1)
+            vals = rng.uniform(-0.7, 0.7, lo.size) + 1j * rng.uniform(-0.7, 0.7, lo.size)
+            f = from_line_segments(lo, hi, vals)
+            for x in rng.standard_normal(50) * 20.0:
+                inside = np.flatnonzero(np.where(lo < hi, (lo < x) & (x < hi), (x > lo) | (x < hi)))
+                expect = vals[inside[0]] if inside.size else 0.0
+                if np.min(np.abs(np.concatenate((lo, hi)) - x)) > 1e-9:
+                    assert f.evaluate(line_to_angle(x)) == expect
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -170,6 +171,68 @@ class TestDenseCertificate:
         fam = TargetFamily.generate(3, 1).replaced(1, BoundaryFunction.constant(0.5))
         rows = dense_orbit_report(fam, make_schedule(2.0, 3))
         assert all(r.ok for r in rows)
+
+
+def _reference_cuts(fam, sched, n, levels):
+    """Cuts of the k_n-indexed translate, to 50 digits: window m's ends and
+    the cuts of f_m inside it, scaled by lam^(k_n - k_m), as angles."""
+    two_pi = 2 * mpmath.pi
+    cuts = []
+    for m in range(2, levels + 1):  # window 1, [1, 1], is empty
+        scale = mpmath.mpf(sched.rate) ** (sched.ks[n - 1] - sched.ks[m - 1])
+        xs = [mpmath.tan(mpmath.mpf(float(s)) / 2) for s in fam.functions[m - 1].breakpoints]
+        xs = [x for x in xs if mpmath.mpf(1) / m < abs(x) < m]
+        for x in xs + [mpmath.mpf(1) / m, mpmath.mpf(m), -mpmath.mpf(1) / m, -mpmath.mpf(m)]:
+            cuts.append((2 * mpmath.atan(x * scale)) % two_pi)
+    return sorted(cuts)
+
+
+def _reference_value(fam, sched, n, levels, angle):
+    """Value of the k_n-indexed translate at an angle, from 50-digit line coordinates."""
+    x = mpmath.tan(mpmath.mpf(angle) / 2)
+    for m in range(2, levels + 1):
+        y = x * mpmath.mpf(sched.rate) ** (sched.ks[m - 1] - sched.ks[n - 1])
+        if mpmath.mpf(1) / m < abs(y) < m:
+            return fam.functions[m - 1].evaluate(float((2 * mpmath.atan(y)) % (2 * mpmath.pi)))
+    return 0.0
+
+
+class TestDeepDenseOrbits:
+    """Each level's translate against 50-digit line coordinates, at depths
+    where lam^k_n reaches 1e13 and more: moving angles there would magnify
+    their rounding by lam^k_n."""
+
+    @pytest.mark.parametrize("lam, levels", [(10.0, 8), (2.0, 12), (3.0, 14)])
+    def test_translates_match_the_reference(self, lam, levels):
+        from discdyn import chaos
+
+        with mpmath.workdps(50):
+            fam = TargetFamily.generate(levels, 7)
+            sched = make_schedule(lam, levels)
+            windows = chaos._dense_windows(fam, sched, levels)
+            rows = dense_orbit_report(fam, sched)
+            ex = CompactExhaustion()
+            for n, row in enumerate(rows, 1):
+                phi = chaos._dense_translate(windows, sched, levels, levels, sched.ks[n - 1])
+                br = phi.boundary.breakpoints
+                ref = _reference_cuts(fam, sched, n, levels)
+                near = np.array([float(c) for c in ref])
+                gap = np.abs((br[:, None] - near[None, :] + math.pi) % TWO_PI - math.pi)
+                assert gap.min(axis=1).max() <= 4e-15  # every cut is a true cut
+                spacing = np.diff(near, prepend=near[-1] - TWO_PI, append=near[0] + TWO_PI)
+                alone = np.minimum(spacing[:-1], spacing[1:]) > 1e-13
+                assert gap.min(axis=0)[alone].max() <= 4e-15  # and no true cut is lost
+                widths = np.diff(br, append=br[0] + TWO_PI)
+                mids = (br + 0.5 * widths)[widths > 1e-9]
+                assert [_reference_value(fam, sched, n, levels, t) for t in mids] == list(
+                    phi.boundary.evaluate(mids))
+                # the row's distance against the reference function's
+                vals = [_reference_value(fam, sched, n, levels, (a + b) / 2)
+                        for a, b in zip(ref, ref[1:] + [ref[0] + 2 * mpmath.pi])]
+                reference = HarmonicFunction(BoundaryFunction(near, vals))
+                dist, bar = metric_distance(reference, HarmonicFunction(fam.functions[n - 1]), ex)
+                assert abs(row.dist - dist) <= row.error_bar + bar
+                assert row.ok
 
 
 class TestTranslate:

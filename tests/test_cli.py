@@ -65,6 +65,30 @@ class TestCommands:
         row = _data_rows(tmp_path / "per.csv")[0].split(",")
         assert int(row[1]) == 4 and int(row[2]) == 5
 
+    def test_saved_boundary_reads_back_bit_exact(self, bdry, tmp_path):
+        from discdyn import chaos, hyperbolic_multiplier
+
+        f = BoundaryFunction.from_json(bdry.read_text())
+        approx = chaos.build_periodic_approximant(f, 0.1, hyperbolic_multiplier(2.0))
+        rc = main(["periodic", "--boundary", "f.json", "--epsilon", "0.1", "--lambda", "2", "--out", "per"])
+        assert rc == 0
+        text = (tmp_path / "per.json").read_text()
+        doc = json.loads(text)
+        assert list(doc) == ["breakpoints", "values", "config"]
+        assert doc["config"]["command"] == "periodic" and doc["config"]["epsilon"] == "0.1"
+        g = BoundaryFunction.from_json(text)
+        assert g.breakpoints.tolist() == approx.function.boundary.breakpoints.tolist()
+        assert g.values.tolist() == approx.function.boundary.values.tolist()
+
+    @pytest.mark.parametrize("lam, levels", [("10", "10"), ("3", "14")])
+    def test_deep_dense_orbits_certify(self, bdry, tmp_path, lam, levels):
+        # lam^k_n passes 1e16 here: the translates are built in line
+        # coordinates, never as a group element
+        assert main(["dense", "--lambda", lam, "--levels", levels]) == 0
+        rows = [[float(c) for c in r.split(",")] for r in _data_rows(tmp_path / "dense.csv")]
+        assert len(rows) == int(levels)
+        assert all(dist <= bound + bar for _, _, dist, bound, bar in rows)
+
     def test_arcflow(self, bdry, tmp_path):
         rc = main(["arcflow", "--shift", "1.0", "--steps", "5", "--out", "fl.csv"])
         assert rc == 0

@@ -185,6 +185,50 @@ class TestMetric:
         assert fuzzed.unrepresented_length() == pytest.approx(0.02)
 
 
+    def test_cuts_without_a_jump_change_nothing(self, rng):
+        # splitting pieces in two, both halves keeping the value, is the same
+        # function: the same value, and no larger a bar
+        ex = CompactExhaustion()
+        for pieces in (1, 2, 7, 40):
+            f = random_boundary(rng, pieces) if pieces > 1 else BoundaryFunction.constant(0.3j)
+            extra = rng.uniform(0.0, TWO_PI, 3 * pieces)
+            split = BoundaryFunction(np.append(f.breakpoints, extra),
+                                     np.append(f.values[: f.breakpoints.size], f.evaluate(extra)))
+            assert split.breakpoints.size > f.breakpoints.size
+            assert metric_norm(HarmonicFunction(split), ex) == metric_norm(HarmonicFunction(f), ex)
+
+
+def _bisected_terms(jump_sum, radii, tol):
+    """Least k with _truncation_tail <= tol, by bisection below the log bound."""
+    log_arg = np.log(tol) + np.log(math.pi * (1.0 - radii) / jump_sum)
+    hi = np.maximum(0.0, np.ceil(log_arg / np.log(radii)) - 1.0)
+    lo = np.zeros_like(hi)
+    while np.any(lo < hi):
+        mid = np.floor(0.5 * (lo + hi))
+        ok = poisson._truncation_tail(jump_sum, radii, mid) <= tol
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1.0)
+    return hi.astype(int)
+
+
+def test_terms_needed_matches_bisection():
+    # 500k (J, r, tol) draws: radii of the exhaustion, radii near 1 and
+    # anywhere in (0, 1), tolerances from 1e-300 to 1e300 and infinite
+    rng = np.random.default_rng(0x7E57)
+    mismatches = cases = 0
+    for trial in range(100):
+        n = 5000
+        radii = (1.0 - 1.0 / rng.integers(2, 100_000, n), 1.0 - 10.0 ** rng.uniform(-7, -1e-3, n),
+                 rng.uniform(1e-3, 1.0, n))[trial % 3]
+        tol = 10.0 ** rng.uniform(-300, 300, n)
+        tol[rng.uniform(size=n) < 0.02] = np.inf
+        jump_sum = 10.0 ** rng.uniform(-3, 4)
+        with np.errstate(divide="ignore"):
+            expect = _bisected_terms(jump_sum, radii, tol)
+        mismatches += np.count_nonzero(poisson._terms_needed(jump_sum, radii, tol) != expect)
+        cases += n
+    assert cases >= 500_000 and mismatches == 0
+
+
 def _by_antiderivative(f, zs):
     """u(z) = sum_j v_j (V(s_{j+1}) - V(s_j)) / 2pi: shares no kernel with extend_many."""
     v = poisson.angle_antiderivative(np.asarray(zs, dtype=complex)[..., None], f.breakpoints)
