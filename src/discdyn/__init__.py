@@ -22,7 +22,6 @@ from .boundary import (
     BoundaryFunction,
     InvalidPartitionError,
     angle_to_line,
-    arc_length_of_region,
     cayley,
     cayley_inv,
     compose_with_moebius,

@@ -131,6 +131,13 @@ class BoundaryFunction:
     def constant(cls, c: complex) -> "BoundaryFunction":
         return cls(np.empty(0), [c])
 
+    @classmethod
+    def _clean(cls, breakpoints: np.ndarray, values: np.ndarray) -> "BoundaryFunction":
+        """Cuts in [0, 2pi), sorted and deduplicated, and complex values, unchecked."""
+        out = cls.__new__(cls)
+        out.breakpoints, out.values = breakpoints, values
+        return out
+
     def evaluate(self, s):
         """Value at angle(s) s; scalar in, scalar out; arrays vectorized."""
         arr = np.asarray(s, dtype=float)
@@ -168,11 +175,11 @@ class BoundaryFunction:
 
     def plus(self, other: "BoundaryFunction") -> "BoundaryFunction":
         br, fv, hv = merge_partition(self, other)
-        return BoundaryFunction(br, fv + hv)
+        return BoundaryFunction._clean(br, fv + hv)
 
     def minus(self, other: "BoundaryFunction") -> "BoundaryFunction":
         br, fv, hv = merge_partition(self, other)
-        return BoundaryFunction(br, fv - hv)
+        return BoundaryFunction._clean(br, fv - hv)
 
     def allclose(
         self, other: "BoundaryFunction", tol: float = 1e-12, sliver: float = 1e-11
@@ -349,11 +356,4 @@ def from_line_segments(lo, hi, values) -> BoundaryFunction:
     # the arc starting last before each midpoint, cyclically, is the only
     # one that can hold it
     j = np.searchsorted(a, mids, side="right") - 1
-    return BoundaryFunction(br, np.where(np.mod(mids - a[j], TWO_PI) < w[j], vals[j], 0.0))
-
-
-def arc_length_of_region(lo, hi) -> float:
-    """Total circle arclength of the image of disjoint line intervals lo -> hi."""
-    a, _, w = _line_arcs(lo, hi)
-    _disjoint_order(a, w)
-    return float(w.sum())
+    return BoundaryFunction._clean(br, np.where(np.mod(mids - a[j], TWO_PI) < w[j], vals[j], 0.0))

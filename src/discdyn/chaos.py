@@ -40,7 +40,6 @@ from .boundary import (
     BoundaryFunction,
     _line_arcs,
     angle_to_line,
-    arc_length_of_region,
     compose_with_moebius,
     from_line_segments,
     l1_distance,
@@ -332,12 +331,7 @@ def dense_orbit_report(
         k = sched.ks[n - 1]
         shifted = _dense_translate(windows, sched, lvl, len(family), k)
         dist, bar = metric_distance(shifted, HarmonicFunction(family.functions[n - 1]), ex)
-        if sched.kind == "hyperbolic":
-            comp = ([-1.0 / n, float(n)], [1.0 / n, -float(n)])
-        else:
-            comp = (float(n), -float(n))
-        bound = arc_length_of_region(*comp) / math.pi
-        rows.append(CertificateRow(n, k, dist, bound, bar))
+        rows.append(CertificateRow(n, k, dist, _off_window(n, sched.kind) / math.pi, bar))
     return rows
 
 
@@ -374,9 +368,15 @@ class PeriodicApproximant:
         return metric_distance(HarmonicFunction(self.source), self.function, ex)
 
 
+def _off_window(n: int, kind: str) -> float:
+    """arclength(B_n^c), the circle off window n: 8 atan(1/n) off the hyperbolic
+    windows [-n, -1/n] and [1/n, n], 4 atan(1/n) off the parabolic [-n, n]."""
+    return (8.0 if kind == "hyperbolic" else 4.0) * math.atan(1.0 / n)
+
+
 def _pick_n(epsilon: float, kind: str) -> int:
     """Minimal n with arclength(B_n^c) <= epsilon*pi."""
-    coeff = 8.0 if kind == "hyperbolic" else 4.0
+    coeff = _off_window(1, kind) / math.atan(1.0)  # 8 or 4, exactly
     if epsilon <= 0.0:
         raise ResolutionError("epsilon must be positive")
     if coeff / (epsilon * math.pi) > 1e12:
@@ -384,9 +384,9 @@ def _pick_n(epsilon: float, kind: str) -> int:
     # atan(1/n) ~ 1/n, so start a few steps below the asymptotic answer and
     # walk up; keeps the minimality exact without a unit-step search from 1
     n = max(1, int(coeff / (epsilon * math.pi)) - 2)
-    while n > 1 and coeff * math.atan(1.0 / (n - 1)) <= epsilon * math.pi:
+    while n > 1 and _off_window(n - 1, kind) <= epsilon * math.pi:
         n -= 1
-    while coeff * math.atan(1.0 / n) > epsilon * math.pi:
+    while _off_window(n, kind) > epsilon * math.pi:
         n += 1
     return n
 

@@ -171,16 +171,15 @@ def orbit_sample(
 
 
 def _occupied_cells(zeta: np.ndarray, theta: np.ndarray, grid: int) -> set[tuple[int, int]]:
+    """(angle cell, theta cell) of each point with theta in [0.2, 2pi - 0.2]."""
     lo, hi = 0.2, TWO_PI - 0.2
-    cells = set()
-    for re, im, t in zip(zeta.real.tolist(), zeta.imag.tolist(), theta.tolist()):
-        if not lo <= t <= hi:
-            continue
-        ang = math.atan2(im, re) % TWO_PI
-        i = min(grid - 1, int(ang / (TWO_PI / grid)))
-        j = min(grid - 1, int((t - lo) / ((hi - lo) / grid)))
-        cells.add((i, j))
-    return cells
+    band = (theta >= lo) & (theta <= hi)
+    z, t = zeta[band], theta[band]
+    # math.atan2, not np.arctan2: the two differ in the last bit on some points
+    ang = np.fromiter(map(math.atan2, z.imag.tolist(), z.real.tolist()), float, z.size)
+    i = np.minimum(grid - 1, (np.mod(ang, TWO_PI) / (TWO_PI / grid)).astype(int))
+    j = np.minimum(grid - 1, ((t - lo) / ((hi - lo) / grid)).astype(int))
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def coverage_statistic(sample: OrbitSample, grid: int = 32) -> float:

@@ -18,8 +18,9 @@ Fourier coefficients c_k = sum_j J_j e^{-iks_j} / (2pi ik), computed once per
 call, and each circle |z| = r is one inverse FFT of c_k r^|k|.  Grid maxima
 become true sups through a bound on |d^2u/dt^2| read off the coefficients
 (at most J r / (pi (1-r)^2), J = sum |J_j|): each grid cell over budget is
-quartered, its new points from the closed form.  Every reported value
-carries an error bar that is an upper bound by construction: the series tail,
+quartered, its new points from the closed form (one evaluator per call).
+Every reported value carries an error bar that is an upper bound by
+construction: the series tail,
 the unrepresented arcs, and per level the cell allowance, the truncation tail
 J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the rounding of the FFT
 and of the closed form, which grows like n sum |J_j| on K_n.  Level
@@ -30,6 +31,7 @@ deep levels take few terms and coarse grids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,42 +91,48 @@ def angle_antiderivative(z, s):
     return 2.0 * np.arctan(c * np.tan(0.5 * dh)) + TWO_PI * k
 
 
-def extend_many(f: BoundaryFunction, zs) -> np.ndarray:
-    """Harmonic extension of f at an array of interior points.
+def _closed_form(f: BoundaryFunction):
+    """Evaluator of u(z) = mean(f) - (1/pi) sum_j J_j arg(1 - z e^{-is_j}), f
+    non-constant with jumps J_j at s_j, on flat arrays of |z| < 1: the Fourier
+    series summed, each arg a principal value as Re(1 - z e^{-is}) > 0.  Its
+    constants are formed once; on K_n it rounds by `_closed_form_rounding`."""
+    jumps = f.jumps().view(float).reshape(-1, 2) / -math.pi  # real and imaginary parts
+    e = np.exp(-1j * f.breakpoints)
+    mean = f.mean()
+    chunk = max(1, _CHUNK_PAIRS // e.size)
 
-    The Fourier series of `_fourier_coefficients` summed in closed form: with
-    jumps J_j = v_j - v_{j-1} at s_j, u(z) = mean(f) - (1/pi) sum_j J_j
-    arg(1 - z e^{-is_j}).  Re(1 - z e^{-is}) > 0 for |z| < 1, so every arg is
-    a principal value: no unwrap, no pole.  On K_n the rounding is at most
-    `_closed_form_rounding`.
-    """
+    def evaluate(zs: np.ndarray) -> np.ndarray:
+        out = np.empty((zs.size, 2))
+        for i in range(0, zs.size, chunk):
+            w = np.multiply.outer(zs[i : i + chunk], e)
+            np.subtract(1.0, w, out=w)
+            out[i : i + chunk] = np.arctan2(w.imag, w.real) @ jumps
+        return out.view(complex)[:, 0] + mean
+
+    return evaluate
+
+
+def extend_many(f: BoundaryFunction, zs) -> np.ndarray:
+    """Harmonic extension of f at an array of interior points (see `_closed_form`)."""
     zs = np.asarray(zs, dtype=complex)
     flat = zs.ravel()
     if flat.size and np.max(np.abs(flat)) > 1.0 - 1e-9:
         raise NearBoundaryError("points must satisfy |z| <= 1 - 1e-9")
     if f.breakpoints.size == 0:
         return np.full(zs.shape, complex(f.values[0]), dtype=complex)
-    jumps = f.jumps().view(float).reshape(-1, 2) / -math.pi  # real and imaginary parts
-    e = np.exp(-1j * f.breakpoints)
-    out = np.empty((flat.size, 2))
-    chunk = max(1, _CHUNK_PAIRS // f.breakpoints.size)
-    for i in range(0, flat.size, chunk):
-        w = np.multiply.outer(flat[i : i + chunk], e)
-        out[i : i + chunk] = np.angle(np.subtract(1.0, w, out=w)) @ jumps
-    return (out.view(complex)[:, 0] + f.mean()).reshape(zs.shape)
+    return _closed_form(f)(flat).reshape(zs.shape)
 
 
-def _closed_form_rounding(f: BoundaryFunction, n):
-    """Bound on the rounding of `extend_many` at points of K_n (n may be an array).
+def _closed_form_rounding(f: BoundaryFunction, n, jump_sum: float):
+    """Bound on the rounding of `_closed_form` at points of K_n (n may be an array).
 
-    In units u = eps/2 of sum_j |J_j| / pi: z e^{-is} is off by at most 6 and
+    In units u = eps/2 of jump_sum / pi: z e^{-is} is off by at most 6 and
     1 - z e^{-is} by 8, so its arg, as |1 - z e^{-is}| >= 1/n on K_n, by
     8n + 4; the sum of N terms adds N pi/2 and the jumps J_j / (-pi) add pi.
     The mean adds N + 8 units of sup|f|.
     """
     eps = np.finfo(float).eps
     npieces = f.breakpoints.size
-    jump_sum = float(np.sum(np.abs(f.jumps())))
     return eps * ((4.0 * np.asarray(n) + 4.0 + npieces) * jump_sum / math.pi
                   + (npieces + 4.0) * f.sup_norm())
 
@@ -259,16 +267,17 @@ def _circle_values(
     """Damped series sum_j c_j r^|j| e^{ijt} at t = 2pi i / m, one row per radius.
 
     Uses every term that fits the grid, |j| <= min(k, m/2 - 1), and one
-    inverse FFT per row.  Also returns sum_j j^2 |c_j| r^|j| over the same
-    terms per radius, which bounds their second t-derivative.
+    unscaled inverse FFT per row.  Also returns sum_j j^2 |c_j| r^|j| over the
+    same terms per radius, which bounds their second t-derivative.  e^{j log r}
+    adds at most eps (J / pi)(1 + log n) on K_n, far inside that of `_level_sups`.
     """
     k = min(pos.size - 1, m // 2 - 1)
-    damp = np.asarray(radii, dtype=float)[:, None] ** np.arange(k + 1.0)
+    damp = np.exp(np.multiply.outer(np.log(radii), np.arange(k + 1.0)))
     spec = np.zeros((damp.shape[0], m), dtype=complex)
     spec[:, : k + 1] = pos[: k + 1] * damp
     spec[:, m - k :] = (neg[1 : k + 1] * damp[:, 1:])[:, ::-1]
     d2 = damp @ (np.arange(k + 1.0) ** 2 * (np.abs(pos[: k + 1]) + np.abs(neg[: k + 1])))
-    return np.fft.ifft(spec, axis=1) * m, d2
+    return np.fft.ifft(spec, axis=1, norm="forward"), d2
 
 
 def _level_sups(
@@ -285,8 +294,8 @@ def _level_sups(
     sup at most max(|u(a)|, |u(b)|) + h^2 C / 8.  Every grid cell's bound is
     formed on the sampled circles; those within tols[i] of their circle's best
     value are final, and the others are quartered, on all circles at once,
-    their three new points evaluated with the closed form `extend_many` in one
-    call per round.  A circle stops after _HALVINGS / 2 rounds (cells of width
+    their three interior points evaluated in one call per round of one
+    `_closed_form`.  A circle stops after _HALVINGS / 2 rounds (cells of width
     h / 2^_HALVINGS), or when more than _CELL_CAP of its cells are over budget.
     error = the largest cell excess left, plus the truncation tail
     J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the series, the FFT and
@@ -321,36 +330,51 @@ def _level_sups(
             ends = np.maximum(left, right)
             over = ends > (best[chunk] + tols[chunk] - allow)[:, None]
             row, col = np.divmod(np.flatnonzero(over), m)
-            pool.append((chunk[row], col * (TWO_PI / m), left[row, col], right[row, col]))
+            pool.append((chunk[row], col * (TWO_PI / m), left[over], right[over]))
             ends[over] = -math.inf
             top[chunk] = ends.max(axis=1) + allow
     lev, start, left, right = (np.concatenate(part) for part in zip(*pool))
+    evaluate = _closed_form(f)
+    width = TWO_PI / sizes  # of every cell of a circle, quartered each round
+    allow = width * width * curv
     quarters = np.arange(4.0)[:, None]
+    final = []  # (circle, bound) of the cells closed in each round
     rounds = _HALVINGS // 2
     for rnd in range(rounds + 1):
-        h = TWO_PI / sizes * 0.25**rnd  # the width of every cell of a circle
-        bound = np.maximum(left, right) + (h * h * curv)[lev]
+        bound = np.maximum(left, right) + allow[lev]
         over = bound > (best + tols)[lev]
         if rnd == rounds:
             over[:] = False
         elif np.count_nonzero(over) > _CELL_CAP:  # else no circle can pass the cap
             over &= (np.bincount(lev[over], minlength=levels) <= _CELL_CAP)[lev]
-        np.maximum.at(top, lev[~over], bound[~over])
+        final.append((lev[~over], bound[~over]))
         if not over.any():
             break
         lev, start, left, right = lev[over], start[over], left[over], right[over]
-        step = 0.25 * h[lev]
-        mid = np.abs(extend_many(f, radii[lev] * np.exp(1j * (start + step * quarters[1:]))))
+        width *= 0.25
+        allow *= 0.0625
+        starts = start + width[lev] * quarters  # quarter q starts at starts[q]
+        mid = np.abs(evaluate((radii[lev] * np.exp(1j * starts[1:])).ravel())).reshape(3, -1)
         np.maximum.at(best, lev, mid.max(axis=0))
         # quarter q runs from point q to q + 1 of (left, mid[0], mid[1], mid[2], right)
-        start = (start + step * quarters).ravel()
+        ends = np.concatenate((left[None], mid, right[None]))
         lev = np.concatenate((lev,) * 4)
-        left, right = np.concatenate((left, mid.ravel())), np.concatenate((mid.ravel(), right))
+        start, left, right = starts.ravel(), ends[:4].ravel(), ends[1:].ravel()
+    np.maximum.at(top, *(np.concatenate(part) for part in zip(*final)))
     tail = _truncation_tail(jump_sum, radii, k)
     rounding = 1e-14 * np.log2(sizes) * (
         abs(pos[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii)) + 1.0
-    ) + _closed_form_rounding(f, 1.0 / (1.0 - radii))
+    ) + _closed_form_rounding(f, 1.0 / (1.0 - radii), jump_sum)
     return best, (top - best) + tail + rounding
+
+
+@functools.lru_cache(maxsize=16)
+def _levels(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights w_n, radii of K_2..K_n_max) of `CompactExhaustion(n_max)`, read-only."""
+    ex = CompactExhaustion(n_max)
+    w, radii = ex.weights(), ex.radius(np.arange(2, n_max + 1))
+    w.flags.writeable = radii.flags.writeable = False
+    return w, radii
 
 
 def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, float]:
@@ -377,16 +401,15 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     f = phi.boundary
     moves = f.jumps() != 0.0  # a cut with no jump leaves the function as it is
     if f.breakpoints.size and not moves.all():
-        f = BoundaryFunction(f.breakpoints[moves], f.values[moves]) if moves.any() else (
+        f = BoundaryFunction._clean(f.breakpoints[moves], f.values[moves]) if moves.any() else (
             BoundaryFunction.constant(f.values[0]))
-    w = ex.weights()
+    w, radii = _levels(ex.n_max)
     sups = np.empty(ex.n_max)
     errs = np.zeros(ex.n_max)
     if f.breakpoints.size == 0:
         sups[:] = abs(complex(f.values[0]))
     else:
         jump_sum = float(np.sum(np.abs(f.jumps())))
-        radii = ex.radius(np.arange(2, ex.n_max + 1))
         with np.errstate(divide="ignore", over="ignore"):  # weight 0: no limit
             tail_tols, sup_tols = _TAIL_BUDGET / w[1:], _SUP_BUDGET / w[1:]
         terms = _terms_needed(jump_sum, radii, tail_tols)
@@ -408,9 +431,7 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     l = phi.unrepresented_length()
     if l > 0.0 and phi.tail_bound > 0.0:
         kern = 2.0 * np.arange(1, ex.n_max + 1) - 1.0  # kernel sup on K_n
-        unrep = phi.tail_bound * float(
-            np.dot(w, np.minimum(1.0, kern * l / TWO_PI))
-        )
+        unrep = phi.tail_bound * float(np.dot(w, np.minimum(1.0, kern * l / TWO_PI)))
         unrep += phi.tail_bound * ex.tail_coeff()  # same regions, truncated levels
     bar = tail + unrep + float(np.dot(w, errs))
     return value, float(bar)

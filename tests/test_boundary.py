@@ -159,6 +159,31 @@ class TestAlgebra:
         assert line.breakpoints.tolist() == survivors
         assert line.values.tolist() == [0.5, -1.0, 0.75]
 
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 3), st.booleans()),
+                    min_size=1, max_size=24),
+           st.integers(0, 2**31))
+    def test_clean_cuts_skip_the_checks_bit_for_bit(self, cuts, seed):
+        # cuts on a coarse grid, some 5e-15 apart or 3e-15 from 2pi, so that
+        # merged cuts need the dedup; every clean input, the merged cuts and
+        # any subset of a function's cuts, gives the constructor's own arrays
+        rng = np.random.default_rng(seed)
+        br = np.array([math.fmod(c * TWO_PI / 64 + d * 5e-15 + TWO_PI, TWO_PI) for c, d, _ in cuts])
+        side = np.array([b for _, _, b in cuts])
+        vals = rng.uniform(-1.0, 1.0, (br.size, 2)) @ [1.0, 1j]
+        f = BoundaryFunction(br[side], vals[side]) if side.any() else BoundaryFunction.constant(0.5)
+        g = BoundaryFunction(br[~side], vals[~side]) if (~side).any() else BoundaryFunction([1e-15], [1.0])
+        mb, fv, gv = merge_partition(f, g)  # the cuts of f.plus(g) and f.minus(g)
+        clean = [(mb, fv - gv), (mb, fv + gv)]
+        for h in (f, g):
+            if h.breakpoints.size:
+                keep = rng.random(h.breakpoints.size) < 0.5
+                keep[rng.integers(h.breakpoints.size)] = True
+                clean.append((h.breakpoints[keep], h.values[keep]))
+        for b, v in clean:
+            want, got = BoundaryFunction(b, v), BoundaryFunction._clean(b, v)
+            for x, y in ((want.breakpoints, got.breakpoints), (want.values, got.values)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_allclose_ignores_slivers(self):
         f = BoundaryFunction([0.0, 1.0, 2.0], [0.3, 0.7, 0.1])
         g = BoundaryFunction([0.0, 1.0 + 1e-13, 2.0], [0.3, 0.7, 0.1])

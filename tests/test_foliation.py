@@ -30,6 +30,7 @@ from discdyn import (
     short_word_scan,
 )
 
+from discdyn import foliation
 from discdyn.foliation import _apply_words, _word_table
 
 from conftest import random_boundary, random_element
@@ -123,6 +124,39 @@ class TestOrbitSampling:
         assert np.array_equal(draw(4), draw(4))
         assert not np.array_equal(draw(4), draw(5))
         assert _word_table(np.random.default_rng(4), 8, 500, 0).shape == (500, 0)
+
+    @pytest.mark.parametrize("grid", [7, 32, 33])
+    def test_occupied_cells_match_the_point_loop(self, grid):
+        def point_loop(zeta, theta, grid):  # the per-point loop the arrays replace
+            lo, hi = 0.2, TWO_PI - 0.2
+            cells = set()
+            for re, im, t in zip(zeta.real.tolist(), zeta.imag.tolist(), theta.tolist()):
+                if not lo <= t <= hi:
+                    continue
+                ang = math.atan2(im, re) % TWO_PI
+                i = min(grid - 1, int(ang / (TWO_PI / grid)))
+                j = min(grid - 1, int((t - lo) / ((hi - lo) / grid)))
+                cells.add((i, j))
+            return cells
+
+        rng = np.random.default_rng(grid)
+        lo, hi = 0.2, TWO_PI - 0.2
+        # points within 40 steps of 2^-50 of every cell edge, in both
+        # coordinates, one at a time: a point set off by one bit is seen alone
+        near = np.arange(-40, 41) * 2.0**-50
+        angles = (np.arange(grid + 1)[:, None] * (TWO_PI / grid) + near).ravel()
+        thetas = (lo + np.arange(grid + 1)[:, None] * ((hi - lo) / grid) + near).ravel()
+        zeta = np.concatenate([np.exp(1j * angles), [1.0, -1.0, 1j, -1j, complex(1.0, -0.0)]])
+        theta = rng.permutation(np.resize(thetas, zeta.size))
+        for z, t in zip(zeta, theta):
+            for point in (([z], [t]), ([z], [math.pi])):
+                point = tuple(map(np.array, point))
+                assert foliation._occupied_cells(*point, grid) == point_loop(*point, grid), point
+        zeta = np.exp(1j * rng.uniform(0.0, TWO_PI, 2000))
+        theta = rng.uniform(0.0, TWO_PI, 2000)
+        assert foliation._occupied_cells(zeta, theta, grid) == point_loop(zeta, theta, grid)
+        s = orbit_sample(genus2_group(), Arc(1.0 + 0j, 2.0), 3000, 3, seed=grid)
+        assert foliation._occupied_cells(s.zeta, s.theta, grid) == point_loop(s.zeta, s.theta, grid)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_sweep_monotone(self, seed):

@@ -263,6 +263,20 @@ def _oracle_lower(f, levels=12, grid=1024):
     return float(np.dot(w, sups))
 
 
+def _spy_closed_form(monkeypatch) -> list:
+    """The point arrays of every call of a `poisson._closed_form` evaluator,
+    which in `metric_norm` are its refinement rounds."""
+    seen = []
+    closed_form = poisson._closed_form
+
+    def spy(f):
+        evaluate = closed_form(f)
+        return lambda zs: seen.append(zs) or evaluate(zs)
+
+    monkeypatch.setattr(poisson, "_closed_form", spy)
+    return seen
+
+
 class TestSpectralSups:
     def test_bar_covers_independent_oracle(self):
         # the oracle shares no code with the spectral path; a grid estimate
@@ -396,26 +410,21 @@ class TestSpectralSups:
         w = ex.weights()
         zero = ex.radius(np.flatnonzero(w == 0.0)[0] + 1.0)
         assert np.all(np.isfinite(w)) and w[-1] == 0.0
-        midpoints = []
-        extend = poisson.extend_many
-        monkeypatch.setattr(poisson, "extend_many",
-                            lambda f, zs: midpoints.append(np.max(np.abs(zs))) or extend(f, zs))
+        rounds = _spy_closed_form(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(poisson._terms_needed(10.0, np.array([0.5, 0.999]), np.inf) == 0)
             deep, deep_bar = metric_norm(f, ex)
-        assert max(midpoints) < zero
+        assert rounds and max(np.max(np.abs(zs)) for zs in rounds) < zero
         v40, b40 = metric_norm(f, CompactExhaustion())
         assert v40 <= deep + deep_bar and deep <= v40 + b40
 
     def test_work_per_call_is_bounded(self, monkeypatch):
         # counters, not timers: coefficient terms, FFT points, closed-form calls
         # and midpoints per metric call on 16-piece translate differences
-        terms, points, midpoints = [], [], []
+        terms, points = [], []
         coefficients, circle_values = poisson._fourier_coefficients, poisson._circle_values
-        closed_form = poisson.extend_many
-        monkeypatch.setattr(poisson, "extend_many",
-                            lambda f, zs: midpoints.append(np.size(zs)) or closed_form(f, zs))
+        rounds = _spy_closed_form(monkeypatch)
         monkeypatch.setattr(poisson, "_fourier_coefficients",
                             lambda f, k: terms.append(k) or coefficients(f, k))
         monkeypatch.setattr(poisson, "_circle_values",
@@ -423,17 +432,20 @@ class TestSpectralSups:
                             or circle_values(pos, neg, radii, m))
         rng = np.random.default_rng(0x16)
         ex = CompactExhaustion()
+        seen = 0
         for _ in range(24):
             f = HarmonicFunction(random_boundary(rng, 8))
             g = random_element(rng)
             calls = len(terms)
             points.clear()
-            midpoints.clear()
+            rounds.clear()
             metric_distance(f, translate_boundary(f, g), ex)
             assert len(terms) == calls + 1
             assert terms[-1] <= 300 and sum(points) <= 20_000
             # refinement rounds and the points they add (at most 5 and 1992 here)
-            assert len(midpoints) <= 7 and sum(midpoints) <= 2_500
+            assert len(rounds) <= 7 and sum(zs.size for zs in rounds) <= 2_500
+            seen += len(rounds)
+        assert seen > 0  # the spy sees the rounds, so the bounds above bind
 
     def test_closed_form_rounding_is_bounded(self):
         # 40-digit harmonic measures of the arcs at points 1e-2 and 1e-4 from
@@ -456,7 +468,8 @@ class TestSpectralSups:
                 with mpmath.workdps(40):
                     exact_u = np.array([exact(f, z) for z in zs])
                 err = np.abs(extend_many(f, zs) - exact_u)
-                assert np.max(err) <= poisson._closed_form_rounding(f, n), (seed, n)
+                jump_sum = float(np.sum(np.abs(f.jumps())))
+                assert np.max(err) <= poisson._closed_form_rounding(f, n, jump_sum), (seed, n)
 
     def test_each_cell_is_closed_by_its_own_right_end(self, monkeypatch):
         # a 1e-3-wide arc of value 1 peaks sharply at its middle direction, where
@@ -477,6 +490,88 @@ class TestSpectralSups:
             sup = (seen % TWO_PI - width / 2) / math.pi
             assert np.all(best <= sup + 1e-12), start
             assert np.all(sup <= best + err), (start, np.flatnonzero(sup > best + err) + 2)
+
+    def test_level_sups_match_the_round_by_round_loop(self, monkeypatch):
+        # the flat loop (one evaluator, widths quartered in place, final cells
+        # folded once) gives the grid maxima and errors of the loop it replaced,
+        # bit for bit, on translate differences, a narrow arc and data whose
+        # near-constant |u| drives circles past _CELL_CAP
+        calls = []
+        level_sups = poisson._level_sups
+        monkeypatch.setattr(poisson, "_level_sups",
+                            lambda *a: calls.append((a, level_sups(*a))) or calls[-1][1])
+        rng = np.random.default_rng(0x1E)
+        ex = CompactExhaustion()
+        for pieces in (4, 8, 8, 16, 64):
+            f = HarmonicFunction(random_boundary(rng, pieces))
+            metric_distance(f, translate_boundary(f, random_element(rng)), ex)
+        metric_norm(HarmonicFunction(BoundaryFunction([1.0, 1.001], [1.0, 0.0])), ex)
+        s = np.arange(90) * (TWO_PI / 90)
+        metric_norm(HarmonicFunction(BoundaryFunction(s, 0.9 * np.exp(1j * s))), ex)
+        capped = 0
+        for args, (best, err) in calls:
+            want_best, want_err, cells = _round_by_round_level_sups(*args)
+            assert np.array_equal(best, want_best) and np.array_equal(err, want_err)
+            capped += cells > poisson._CELL_CAP
+        assert capped  # the cap path ran
+
+
+def _round_by_round_level_sups(f, pos, neg, radii, sizes, tols, jump_sum):
+    """`poisson._level_sups` as it was before the flat loop: each round forms
+    its widths from scratch, evaluates through `extend_many` and folds its
+    final cells into `top` at once.  Also returns the most cells over budget
+    in one round."""
+    levels = radii.size
+    k = np.minimum(pos.size - 1, sizes // 2 - 1)
+    rest_d2 = jump_sum / math.pi * (
+        radii ** (k + 1.0) * ((k + 1.0) - k * radii) + 1e-9 * radii
+    ) / (1.0 - radii) ** 2
+    curv, best, top = np.empty(levels), np.empty(levels), np.empty(levels)
+    pool = []
+    for m in np.unique(sizes):
+        rows = np.flatnonzero(sizes == m)
+        step = max(1, poisson._CHUNK_PAIRS // m)
+        for i in range(0, rows.size, step):
+            chunk = rows[i : i + step]
+            u, d2 = poisson._circle_values(pos, neg, radii[chunk], m)
+            left = np.abs(u)
+            right = np.roll(left, -1, axis=1)
+            curv[chunk] = (rest_d2[chunk] + d2) / 8.0
+            best[chunk] = left.max(axis=1)
+            allow = (TWO_PI / m) ** 2 * curv[chunk]
+            ends = np.maximum(left, right)
+            over = ends > (best[chunk] + tols[chunk] - allow)[:, None]
+            row, col = np.divmod(np.flatnonzero(over), m)
+            pool.append((chunk[row], col * (TWO_PI / m), left[row, col], right[row, col]))
+            ends[over] = -math.inf
+            top[chunk] = ends.max(axis=1) + allow
+    lev, start, left, right = (np.concatenate(part) for part in zip(*pool))
+    quarters = np.arange(4.0)[:, None]
+    rounds = poisson._HALVINGS // 2
+    most = 0
+    for rnd in range(rounds + 1):
+        h = TWO_PI / sizes * 0.25**rnd
+        bound = np.maximum(left, right) + (h * h * curv)[lev]
+        over = bound > (best + tols)[lev]
+        if rnd == rounds:
+            over[:] = False
+        most = max(most, int(np.bincount(lev[over], minlength=levels).max()))
+        over &= (np.bincount(lev[over], minlength=levels) <= poisson._CELL_CAP)[lev]
+        np.maximum.at(top, lev[~over], bound[~over])
+        if not over.any():
+            break
+        lev, start, left, right = lev[over], start[over], left[over], right[over]
+        step = 0.25 * h[lev]
+        mid = np.abs(extend_many(f, radii[lev] * np.exp(1j * (start + step * quarters[1:]))))
+        np.maximum.at(best, lev, mid.max(axis=0))
+        start = (start + step * quarters).ravel()
+        lev = np.concatenate((lev,) * 4)
+        left, right = np.concatenate((left, mid.ravel())), np.concatenate((mid.ravel(), right))
+    tail = poisson._truncation_tail(jump_sum, radii, k)
+    rounding = 1e-14 * np.log2(sizes) * (
+        abs(pos[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii)) + 1.0
+    ) + poisson._closed_form_rounding(f, 1.0 / (1.0 - radii), jump_sum)
+    return best, (top - best) + tail + rounding, most
 
 
 class TestLimitDiagnostic:

@@ -3,6 +3,9 @@
 import csv
 import importlib.util
 import pathlib
+import sys
+
+import discdyn
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -37,3 +40,12 @@ def test_coverage_sweep(tmp_path):
     assert [r[1] for r in rows] == ["0", "1", "2", "3"]
     cov = [float(r[2]) for r in rows]
     assert all(b >= a for a, b in zip(cov, cov[1:]))
+
+
+def test_ab_inprocess(capsys):
+    repo = str(SCRIPTS.parent)
+    assert _main("ab_inprocess")([repo, repo, "--ops", "4", "--alternations", "2", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("per op median") == 2
+    assert "change wins" in out and "identical (value, bar): 4/4" in out
+    assert sys.modules["discdyn"] is discdyn  # the copy the tests use stays in place
