@@ -20,13 +20,12 @@ become true sups through a bound on |d^2u/dt^2| read off the coefficients
 (at most J r / (pi (1-r)^2), J = sum |J_j|): each grid cell over budget is
 quartered, its new points from the closed form (one evaluator per call).
 Every reported value carries an error bar that is an upper bound by
-construction: the series tail,
-the unrepresented arcs, and per level the cell allowance, the truncation tail
-J r^{K+1} / (pi (K+1)(1-r)) of the damped series and the rounding of the FFT
-and of the closed form, which grows like n sum |J_j| on K_n.  Level
-n counts with weight w_n = 1/(n^2 2^n), so both its cell allowance and its
-truncation tail are budgeted by weight (_SUP_BUDGET / w_n, _TAIL_BUDGET / w_n):
-deep levels take few terms and coarse grids.
+construction: the series tail, the unrepresented arcs, and per level the cell
+allowance, the truncation tail J r^{K+1} / (pi (K+1)(1-r)) of the damped
+series and the rounding of the FFT and of the closed form, which grows like
+n sum |J_j| on K_n.  Level n counts with weight w_n = 1/(n^2 2^n), so both its
+cell allowance and its truncation tail are budgeted by weight (_SUP_BUDGET /
+w_n, _TAIL_BUDGET / w_n): deep levels take few terms and coarse grids.
 """
 
 from __future__ import annotations
@@ -38,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moebius
-from .boundary import (
-    TWO_PI,
-    Arc,
-    BoundaryFunction,
-    compose_with_moebius,
-)
+from .boundary import TWO_PI, Arc, BoundaryFunction, compose_with_moebius
 from .moebius import ElementClass, MoebiusElement
 
 # sum_{n=1}^inf 1/(n^2 2^n), the metric norm of the constant 1 (dilogarithm at 1/2)
@@ -92,9 +86,8 @@ def angle_antiderivative(z, s):
 
 
 def _closed_form(f: BoundaryFunction):
-    """Evaluator of u(z) = mean(f) - (1/pi) sum_j J_j arg(1 - z e^{-is_j}), f
-    non-constant with jumps J_j at s_j, on flat arrays of |z| < 1: the Fourier
-    series summed, each arg a principal value as Re(1 - z e^{-is}) > 0.  Its
+    """Evaluator of u(z) = mean(f) - (1/pi) sum_j J_j arg(1 - z e^{-is_j}) on flat arrays of
+    |z| < 1, f non-constant: each arg a principal value as Re(1 - z e^{-is}) > 0.  Its
     constants are formed once; on K_n it rounds by `_closed_form_rounding`."""
     jumps = f.jumps().view(float).reshape(-1, 2) / -math.pi  # real and imaginary parts
     e = np.exp(-1j * f.breakpoints)
@@ -328,10 +321,10 @@ def _level_sups(
             allow = (TWO_PI / m) ** 2 * curv[chunk]
             # a cell's bound is its larger end + allow; over budget past best + tols
             ends = np.maximum(left, right)
-            over = ends > (best[chunk] + tols[chunk] - allow)[:, None]
-            row, col = np.divmod(np.flatnonzero(over), m)
-            pool.append((chunk[row], col * (TWO_PI / m), left[over], right[over]))
-            ends[over] = -math.inf
+            over = np.flatnonzero(ends > (best[chunk] + tols[chunk] - allow)[:, None])
+            row, col = np.divmod(over, m)
+            pool.append((chunk[row], col * (TWO_PI / m), left.ravel()[over], right.ravel()[over]))
+            ends.ravel()[over] = -math.inf
             top[chunk] = ends.max(axis=1) + allow
     lev, start, left, right = (np.concatenate(part) for part in zip(*pool))
     evaluate = _closed_form(f)
