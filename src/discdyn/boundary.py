@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moebius
+from . import _numtext, moebius
 from .moebius import INF, MoebiusElement
 
 TWO_PI = 2.0 * math.pi
@@ -198,9 +198,11 @@ class BoundaryFunction:
     # --- serialization: {"breakpoints":[...], "values":[[re,im],...]} ---
 
     def to_json(self) -> str:
-        bp = ", ".join(f"{x:.17g}" for x in self.breakpoints)
-        vals = ", ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in self.values)
-        return '{"breakpoints": [%s], "values": [%s]}' % (bp, vals)
+        """Every number as "%.17g" % x, which reads back exactly."""
+        bp = _numtext.join([_numtext.cells(self.breakpoints), b", "])[:-2]
+        re, im = _numtext.cells(self.values.real), _numtext.cells(self.values.imag)
+        vals = _numtext.join([b"[", re, b", ", im, b"], "])[:-2]
+        return '{"breakpoints": [%s], "values": [%s]}' % (bp.decode(), vals.decode())
 
     @classmethod
     def from_json(cls, text: str) -> "BoundaryFunction":

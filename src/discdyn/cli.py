@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 when a certified inequality gate fails on valid
 input, 1 on usage errors or invalid input.  Every CSV and PGM embeds a config
 echo in `#` header lines; JSON outputs carry a "config" key.  Outputs are
 deterministic per (config, seed).
+
+CSV cells and boundary-data JSON numbers are written as "%.17g" % x for
+floats, which reads back to the same double, and "%d" % n for integers
+(see `_numtext`); the other JSON values are `json.dump`'s.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import chaos, foliation, moebius, poisson
+from . import _numtext, chaos, foliation, moebius, poisson
 from .arcspace import Arc, act_arc
 from .boundary import BoundaryFunction, TWO_PI, compose_with_moebius, indicator
 from .poisson import CompactExhaustion, HarmonicFunction
@@ -47,22 +51,18 @@ def _echo_pairs(args) -> list[tuple[str, str]]:
     return pairs
 
 
-def _cell_format(c) -> str:
-    # "%.17g" % x is format(float(x), ".17g"): 17 digits, read back exactly
-    if isinstance(c, (int, np.integer)):
-        return "%d"
-    return "%s" if isinstance(c, str) else "%.17g"
-
-
-def _write_csv(path, title, args, columns, rows):
-    """Rows are tuples whose cells have the types of the first row's, column by column."""
+def _write_csv(path, title, args, names, columns):
+    """One line per row of the equal-length `columns`, each cell as its
+    column's `_numtext.cells` text ("%d" or "%.17g")."""
+    cells = [_numtext.cells(c) for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(f"# discdyn {title}\n")
         fh.write("# " + " ".join(f"{k}={v}" for k, v in _echo_pairs(args)) + "\n")
-        fh.write(",".join(columns) + "\n")
-        if rows:
-            line = ",".join(map(_cell_format, rows[0])) + "\n"
-            fh.writelines(line % row for row in rows)
+        fh.write(",".join(names) + "\n")
+        if cells:
+            parts = [p for c in cells for p in (c, b",")]
+            parts[-1] = b"\n"
+            fh.write(_numtext.join(parts).decode("ascii"))
 
 
 def _write_json(path, obj):
@@ -155,8 +155,8 @@ def cmd_extend(args) -> int:
     lo = float(np.nanmin(re))
     hi = float(np.nanmax(re))
     _write_pgm(args.out + ".pgm", re[::-1], "extend", args, lo, hi)
-    rows = list(zip(*(a[inside].tolist() for a in (xx, yy, vals.real, vals.imag))))
-    _write_csv(args.out + ".csv", "extend", args, ["x", "y", "re", "im"], rows)
+    columns = [a[inside] for a in (xx, yy, vals.real, vals.imag)]
+    _write_csv(args.out + ".csv", "extend", args, ["x", "y", "re", "im"], columns)
     return 0
 
 
@@ -181,7 +181,7 @@ def cmd_orbit(args) -> int:
         m = fn.mean()
         rows.append((n, val, bar, m.real, m.imag))
     _write_csv(
-        args.out, "orbit", args, ["n", "norm", "norm_bar", "mean_re", "mean_im"], rows
+        args.out, "orbit", args, ["n", "norm", "norm_bar", "mean_re", "mean_im"], zip(*rows)
     )
     return 0
 
@@ -205,7 +205,7 @@ def cmd_dense(args) -> int:
         "dense",
         args,
         ["n", "k_n", "dist", "bound", "error_bar"],
-        [(r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows],
+        zip(*((r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows)),
     )
     return 0 if all(r.ok for r in rows) else 2
 
@@ -227,7 +227,7 @@ def cmd_periodic(args) -> int:
         "periodic",
         args,
         ["epsilon", "n", "k", "l1_defect", "l1_bar", "metric_defect", "metric_bar"],
-        [(args.epsilon, approx.n, approx.k, l1, l1_bar, dist, bar)],
+        zip((args.epsilon, approx.n, approx.k, l1, l1_bar, dist, bar)),
     )
     return 0 if dist + bar <= args.epsilon else 2
 
@@ -240,7 +240,7 @@ def cmd_arcflow(args) -> int:
         rows.append((step, x.zeta.real, x.zeta.imag, x.theta))
         x = act_arc(g, x)
     _write_csv(
-        args.out, "arcflow", args, ["step", "zeta_re", "zeta_im", "theta"], rows
+        args.out, "arcflow", args, ["step", "zeta_re", "zeta_im", "theta"], zip(*rows)
     )
     return 0
 
@@ -253,14 +253,12 @@ def cmd_foliate(args) -> int:
     base = Arc(args.base_zeta, args.base_theta)
     sample = foliation.orbit_sample(group, base, args.points, args.max_word_len, args.seed)
     cov = foliation.coverage_statistic(sample, args.grid)
-    columns = (sample.word_lengths, sample.zeta.real, sample.zeta.imag, sample.theta)
-    rows = list(zip(*(a.tolist() for a in columns)))
     _write_csv(
         args.out + ".csv",
         "foliate",
         args,
         ["word_length", "zeta_re", "zeta_im", "theta"],
-        rows,
+        [sample.word_lengths, sample.zeta.real, sample.zeta.imag, sample.theta],
     )
     _write_json(
         args.out + ".json",
@@ -316,7 +314,7 @@ def cmd_projective(args) -> int:
         worst_cone = max(worst_cone, cone)
         rows.append((i, inv, cone))
     _write_csv(
-        args.out, "projective", args, ["i", "invariance_residual", "cone_residual"], rows
+        args.out, "projective", args, ["i", "invariance_residual", "cone_residual"], zip(*rows)
     )
     return 0 if worst_inv <= args.tol and worst_cone <= args.tol else 2
 
@@ -330,7 +328,7 @@ def cmd_limit(args) -> int:
         "limit",
         args,
         ["n", "oscillation", "value_re", "value_im"],
-        [(n, osc, v.real, v.imag) for n, osc, v in rows],
+        zip(*((n, osc, v.real, v.imag) for n, osc, v in rows)),
     )
     return 0
 

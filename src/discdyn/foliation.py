@@ -133,19 +133,24 @@ def _apply_words(letters, table: np.ndarray, lengths: np.ndarray, base: Arc):
 
     Row r of the table holds its word in its first lengths[r] columns.  The
     columns act right to left, each on the rows whose word reaches it, so g
-    acts as l0(l1(...lk(base))).  No product matrix is formed: its entries
+    acts as l0(l1(...lk(base))); with the rows sorted by length, longest
+    first, those rows are a prefix.  No product matrix is formed: its entries
     grow exponentially with the word length, and once |alpha| nears 1e8,
     |alpha|^2 - |beta|^2 cancels to nothing in double precision.  Returns
     the image starts and lengths as arrays, checked as `Arc` checks them.
     """
     alpha = np.array([g.alpha for g in letters])
     beta = np.array([g.beta for g in letters])
+    order = np.argsort(-lengths, kind="stable")
+    table = table[order]
+    reach = np.searchsorted(-lengths[order], -np.arange(table.shape[1]), "left")
     zeta = np.full(len(table), base.zeta)
     theta = np.full(len(table), base.theta)
     for j in range(table.shape[1] - 1, -1, -1):
-        on = lengths > j
+        on = slice(0, reach[j])
         idx = table[on, j]
         zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
+    zeta[order], theta[order] = zeta.copy(), theta.copy()  # back to table order
     return check_arcs(zeta, theta)
 
 

@@ -338,6 +338,18 @@ class TestSerialization:
         assert np.array_equal(f.breakpoints, g.breakpoints)
         assert np.array_equal(f.values, g.values)
 
+    @pytest.mark.parametrize("pieces", [1, 5, 127, 128, 400])
+    def test_json_text_matches_the_format_operator(self, rng, pieces):
+        # the previous serializer, kept as the oracle
+        f = random_boundary(rng, pieces)
+        f = BoundaryFunction(f.breakpoints, np.where(np.arange(pieces) % 5 == 0, -0.0, f.values))
+        bp = ", ".join(f"{x:.17g}" for x in f.breakpoints)
+        vals = ", ".join(f"[{v.real:.17g}, {v.imag:.17g}]" for v in f.values)
+        assert f.to_json() == '{"breakpoints": [%s], "values": [%s]}' % (bp, vals)
+        constant = BoundaryFunction([], [f.values[-1]])
+        assert constant.to_json() == '{"breakpoints": [], "values": [[%.17g, %.17g]]}' % (
+            constant.values[0].real, constant.values[0].imag)
+
     def test_from_json_tolerates_extra_keys(self, rng):
         f = random_boundary(rng)
         data = json.loads(f.to_json())

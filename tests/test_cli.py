@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from discdyn import BoundaryFunction
+from discdyn import BoundaryFunction, cli
 from discdyn.cli import _build_parser, main
 
 
@@ -170,6 +171,60 @@ class TestFoliate:
         err = capsys.readouterr().err
         assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
         assert not (tmp_path / "bad.csv").exists()
+
+
+def _row_writer(path, title, args, names, rows):
+    """The previous CSV writer, kept as the oracle: one "%" line per row, its
+    formats taken from the types of the first row's cells."""
+
+    def fmt(c):
+        if isinstance(c, (int, np.integer)):
+            return "%d"
+        return "%s" if isinstance(c, str) else "%.17g"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# discdyn {title}\n")
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in cli._echo_pairs(args)) + "\n")
+        fh.write(",".join(names) + "\n")
+        if rows:
+            line = ",".join(map(fmt, rows[0])) + "\n"
+            fh.writelines(line % row for row in rows)
+
+
+class TestColumnWriter:
+    FOLIATE = [
+        ["foliate", "--points", points, "--max-word-len", "12", "--base-theta", theta, "--out", "fo"]
+        for points in ("0", "1", "5000")
+        for theta in ("1e-3", repr(2 * math.pi - 1e-3))
+    ]
+    OTHERS = [
+        ["extend", "--boundary", "f.json", "--grid", "24", "--out", "hm"],
+        ["dense", "--lambda", "2", "--levels", "4"],
+        ["dense", "--shift", "1", "--levels", "3"],
+        ["periodic", "--boundary", "f.json", "--epsilon", "0.3", "--lambda", "2", "--out", "per"],
+        ["orbit", "--boundary", "f.json", "--lambda", "2", "--steps", "4"],
+        ["arcflow", "--shift", "1.0", "--base-theta", "1e-7", "--steps", "200"],
+        ["projective", "--samples", "150"],
+        ["limit", "--boundary", "f.json", "--shift", "1", "--nmax", "6"],
+    ]
+
+    @pytest.mark.parametrize("argv", FOLIATE + OTHERS, ids=lambda a: "-".join(a[:4]))
+    def test_bytes_equal_the_row_writer(self, bdry, tmp_path, monkeypatch, argv):
+        written = []
+
+        def both(path, title, args, names, columns):
+            columns = list(columns)
+            cli_write(path, title, args, names, columns)
+            rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+            _row_writer(path + ".rows", title, args, names, rows)
+            written.append(tmp_path / path)
+
+        cli_write = cli._write_csv
+        monkeypatch.setattr(cli, "_write_csv", both)
+        assert main(argv) == 0
+        assert written
+        for path in written:
+            assert path.read_bytes() == path.with_name(path.name + ".rows").read_bytes()
 
 
 class TestExitCodes:

@@ -31,6 +31,8 @@ from discdyn import (
 )
 
 from discdyn import foliation
+from discdyn.arcspace import act_arcs
+from discdyn.boundary import check_arcs
 from discdyn.foliation import _apply_words, _word_table
 
 from conftest import random_boundary, random_element
@@ -210,6 +212,26 @@ class TestLetterByLetterAction:
         assert np.all(thetas == theta)
         for word, z in zip(table.tolist(), zetas):
             assert abs(z - _oracle_image(letters, word, base.zeta, 1.0)[0]) <= 1e-13
+
+    @pytest.mark.parametrize("seed, width", [(0, 12), (1, 12), (2, 4), (3, 0)])
+    def test_prefix_loop_matches_the_mask_loop(self, seed, width):
+        # the previous loop, kept as the oracle: each column acts on the rows
+        # a boolean mask picks, in table order
+        letters = genus2_group().letters()
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(0, width + 1, 400)
+        table = _word_table(rng, len(letters), 400, width)
+        base = Arc(np.exp(1j * seed), 0.4 + seed)
+        alpha = np.array([g.alpha for g in letters])
+        beta = np.array([g.beta for g in letters])
+        zeta, theta = np.full(400, base.zeta), np.full(400, base.theta)
+        for j in range(width - 1, -1, -1):
+            on = lengths > j
+            idx = table[on, j]
+            zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
+        expect = check_arcs(zeta, theta)
+        got = _apply_words(letters, table, lengths, base)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
 
     def test_mixed_lengths_act_right_to_left(self):
         # g = l0 l1 ... lk acts as l0(l1(...lk(x))), whatever the other words'

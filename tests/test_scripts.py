@@ -49,3 +49,13 @@ def test_ab_inprocess(capsys):
     assert out.count("per op median") == 2
     assert "change wins" in out and "identical (value, bar): 4/4" in out
     assert sys.modules["discdyn"] is discdyn  # the copy the tests use stays in place
+
+
+def test_ab_inprocess_foliate(capsys):
+    repo = str(SCRIPTS.parent)
+    argv = [repo, repo, "--op", "foliate", "--ops", "3", "--alternations", "2", "--seed", "1"]
+    assert _main("ab_inprocess")(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("per op median") == 2
+    assert "change wins" in out and "identical (exit code, CSV, JSON): 3/3" in out
+    assert sys.modules["discdyn"] is discdyn
