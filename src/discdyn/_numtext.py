@@ -22,37 +22,35 @@ SHORT = 128  # rows below which % per cell beats the arrays' fixed cost
 _QUADS = np.array([b"%04d" % i for i in range(10_000)], "S4").view(np.uint32)
 # the position of the last nonzero digit of each "%04d" text, counted from 1; -99 for 0000
 _QUAD_END = np.array([-99] + [len(b.rstrip(b"0")) for b in _QUADS.view("S4")[1:].tolist()])
-_POW10 = np.array([float(10**p) for p in range(23)])  # each one exact
-_DECADES = np.array([  # row E + 7: the least double >= 10^E
-    x if Fraction(x) >= Fraction(f"1e{p}") else math.nextafter(x, math.inf)
-    for p, x in ((p, float(f"1e{p}")) for p in range(-7, 18))
-])
-
-
-def _layouts():
-    """Literal bytes, integer-digit and fraction-digit masks of each layout:
-    row ((E + 6) * 18 + k) * 2 + sign holds exponent E in [-6, 16], k
-    significant digits and that sign on 28 columns: "-", "0.000", 18 columns
-    of digits with their point (digit j in column 6 + j before the point and
-    7 + j after it), "e-0d"."""
-    e, k, neg = (a.ravel() for a in np.meshgrid(np.arange(-6, 17), np.arange(18), [0, 1], indexing="ij"))
-    sci, q = e < -4, np.where(e < -4, 1, np.maximum(e + 1, 0))  # q digits before the point
-    lit = np.zeros((len(e), 28), np.uint8)
-    lit[:, 0] = 45 * neg
-    lead = (e < 0) & ~sci & (np.arange(5)[:, None] <= -e)
-    lit[:, 1:6] = np.where(lead.T, np.frombuffer(b"0.000", np.uint8), 0)
-    dot = (k > q) & (q > 0)
-    lit[dot, 6 + q[dot]] = 46
-    lit[sci, 24:] = np.frombuffer(b"e-0\0", np.uint8)
-    lit[sci, 27] = 48 - e[sci]
-    j = np.arange(28) - 6
-    whole = (j >= 0) & (j < q[:, None])
-    fraction = (j - 1 >= q[:, None]) & (j - 1 < k[:, None])
-    return lit, 255 * whole.astype(np.uint8), 255 * fraction.astype(np.uint8)
-
-
-_LITERALS, _WHOLE, _FRACTION = _layouts()
 _INT_KEEP = np.triu(np.full((16, 16), 255, np.uint8))[::-1]  # row n - 1: the last n digits
+_POW10 = np.array([float(10**p) for p in range(23)])  # each one exact
+_DECADES = np.array([  # entry E + 6: the least double >= 10^E
+    x if Fraction(x) >= Fraction(10) ** p else math.nextafter(x, math.inf)
+    for p, x in ((p, float(Fraction(10) ** p)) for p in range(-6, 17))
+])
+_DIGITS = bytes(range(160, 177)).decode("latin-1")  # digit j of N stands as chr(160 + j)
+
+
+def _layout(e, k, sign):
+    """%g's text for exponent e, k significant digits and that sign on 28
+    columns: "-", "0.000" ending in column 5, digit j in column 6 + j before
+    the point and 7 + j after it, "e-0d"; "\\0" is no byte."""
+    q = 1 if e < -4 else max(e + 1, 0)  # digits before the point
+    digits = _DIGITS[: max(k, q)]
+    body = digits[:q] + ("." if k > q > 0 else "\0") + digits[q:]
+    head = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
+    tail = "e-0%d" % -e if e < -4 else ""
+    lead = "-" if sign else "\0"
+    return lead + head.rjust(5, "\0") + body.ljust(18, "\0") + tail.ljust(4, "\0")
+
+
+_LAYOUTS = np.array(  # row ((E + 6) * 18 + k) * 2 + sign
+    [_layout(e, k, s) for e in range(-6, 17) for k in range(18) for s in (0, 1)], "U28"
+).view(np.uint32).astype(np.uint8).reshape(-1, 28)
+# where digit j (byte 160 + j) stands: column 6 + j before the point, 7 + j after it
+_WHOLE = np.where(_LAYOUTS == np.arange(28) + 154, 255, 0).astype(np.uint8)
+_FRACTION = np.where(_LAYOUTS == np.arange(28) + 153, 255, 0).astype(np.uint8)
+_LITERALS = np.where(_LAYOUTS < 128, _LAYOUTS, 0).astype(np.uint8)
 
 
 def _split(a):
@@ -64,25 +62,51 @@ def _split(a):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _two_product(a, p):
-    """(h, err) with h = fl(a 10^p) and h + err = a 10^p exactly."""
-    h = a * _POW10[p]
-    ah, al = _split(a)
-    bh, bl = _POW10_HI[p], _POW10_LO[p]
-    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
-
-
-def _digits(n, words, first):
-    """Write the 16 digits of 0 <= n < 10^16 to uint32 columns first.. of
-    words; returns the position of the last nonzero one, counted from 1."""
+def _digits(n, d, first):
+    """Write the 16 digits of 0 <= n < 10^16 to columns first.. of the uint8
+    matrix d, first a multiple of 4; returns the count up to the last nonzero one."""
     hi = n // 10**8
     lo = n - hi * 10**8
     q0, q2 = hi // 10**4, lo // 10**4
-    end = np.full(len(n), -99)
+    end = np.zeros(len(n), np.int64)
     for i, quad in enumerate((q0, hi - q0 * 10**4, q2, lo - q2 * 10**4)):
-        words[:, first + i] = _QUADS.take(quad)
+        d.view(np.uint32)[:, first // 4 + i] = _QUADS.take(quad)
         end = np.maximum(end, 4 * i + _QUAD_END.take(quad))
     return end
+
+
+def _float_cells(x):
+    """(text matrix, where it is right); zeros print as 1 with the 1 replaced."""
+    a = np.abs(x)
+    fast = (a >= _DECADES[0]) & (a < 1e16)
+    a = np.where(fast, a, 1.0)
+    e = np.searchsorted(_DECADES, a, "right") - 7  # 10^e <= a < 10^(e + 1)
+    h = a * _POW10.take(16 - e)
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(16 - e), _POW10_LO.take(16 - e)
+    n = h.astype(np.int64) + np.rint(((ah * bh - h) + ah * bl + al * bh) + al * bl).astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    lead = n // 10**16
+    d = np.zeros((len(x), 32), np.uint8)  # digit j of n in column 7 + j
+    d[:, 7] = 48 + lead
+    k = 1 + _digits(n - lead * 10**16, d, 8)  # significant digits
+    zero = x == 0.0
+    d[zero, 7] = 48
+    key = ((e + carry + 6) * 18 + k) * 2 + np.signbit(x)
+    m = _WHOLE.take(key, axis=0) & d[:, 1:29]
+    m |= _FRACTION.take(key, axis=0) & d[:, :28]
+    m |= _LITERALS.take(key, axis=0)
+    return m, fast | zero
+
+
+def _int_cells(v):
+    fast = (v >= 0) & (v < 10**16)
+    n = np.where(fast, v, 0).astype(np.int64)
+    d = np.zeros((len(v), 16), np.uint8)
+    _digits(n, d, 0)
+    d &= _INT_KEEP.take(np.searchsorted(_POW10[1:16], n, "right"), axis=0)
+    return d, fast
 
 
 def _texts(texts):
@@ -90,57 +114,22 @@ def _texts(texts):
     return t.view(np.uint8).reshape(len(texts), t.itemsize)
 
 
-def _patch(m, rows, texts):
-    """m with `rows` replaced by `texts`, widened to the longest of them."""
-    if texts:
-        t = _texts(texts)
-        m = np.concatenate([m, np.zeros((len(m), max(0, t.shape[1] - m.shape[1])), np.uint8)], 1)
-        m[rows] = 0
-        m[rows, : t.shape[1]] = t
-    return m
-
-
-def _int_cells(v):
-    fast = (v >= 0) & (v < 10**16)
-    n = np.where(fast, v, 0).astype(np.int64)
-    d = np.empty((len(v), 16), np.uint8)
-    _digits(n, d.view(np.uint32), 0)
-    d &= _INT_KEEP.take(np.searchsorted(_POW10[1:16], n, "right"), axis=0)
-    return _patch(d, ~fast, ["%d" % c for c in v[~fast].tolist()])
-
-
-def _float_cells(x):
-    a = np.abs(x)
-    fast = (a >= 1e-6) & (a < 1e16)
-    zero = x == 0.0
-    a = np.where(fast, a, 1.0)  # zeros print as the digits of 1 with the 1 replaced
-    e = np.searchsorted(_DECADES, a, "right") - 8  # 10^e <= a < 10^(e + 1)
-    fast &= e >= -6
-    hi, lo = _two_product(a, np.minimum(16 - e, 22))
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = n == 10**17
-    n[carry] = 10**16
-    e += carry
-    lead = n // 10**16
-    d = np.zeros((len(x), 32), np.uint8)  # digit j in column 7 + j
-    d[:, 7] = 48 + lead
-    k = np.maximum(1, 1 + _digits(n - lead * 10**16, d.view(np.uint32), 2))  # significant digits
-    d[zero, 7] = 48
-    key = ((np.maximum(e, -6) + 6) * 18 + k) * 2 + np.signbit(x)
-    m = _WHOLE.take(key, axis=0) & d[:, 1:29]
-    m |= _FRACTION.take(key, axis=0) & d[:, :28]
-    m |= _LITERALS.take(key, axis=0)
-    slow = ~(fast | zero)
-    return _patch(m, slow, ["%.17g" % c for c in x[slow].tolist()])
-
-
 def cells(column) -> np.ndarray:
     """Each entry's text, 0-padded: "%d" for integer and bool columns, else "%.17g"."""
     col = np.asarray(column)
     whole = col.dtype.kind in "biu"
+    fmt = "%d" if whole else "%.17g"
     if len(col) < SHORT:
-        return _texts([("%d" if whole else "%.17g") % c for c in col.tolist()])
-    return _int_cells(col) if whole else _float_cells(col.astype(float))
+        return _texts([fmt % c for c in col.tolist()])
+    m, fast = _int_cells(col) if whole else _float_cells(col.astype(float))
+    slow = ~fast
+    if not slow.any():
+        return m
+    t = _texts([fmt % c for c in col[slow].tolist()])
+    m = np.concatenate([m, np.zeros((len(m), max(0, t.shape[1] - m.shape[1])), np.uint8)], 1)
+    m[slow] = 0
+    m[slow, : t.shape[1]] = t
+    return m
 
 
 def join(parts) -> bytes:

@@ -200,13 +200,8 @@ def cmd_dense(args) -> int:
     else:
         sched = chaos.make_schedule(lam, args.levels)
     rows = chaos.dense_orbit_report(family, sched)
-    _write_csv(
-        args.out,
-        "dense",
-        args,
-        ["n", "k_n", "dist", "bound", "error_bar"],
-        zip(*((r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows)),
-    )
+    columns = zip(*((r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows))
+    _write_csv(args.out, "dense", args, ["n", "k_n", "dist", "bound", "error_bar"], columns)
     return 0 if all(r.ok for r in rows) else 2
 
 
@@ -253,13 +248,9 @@ def cmd_foliate(args) -> int:
     base = Arc(args.base_zeta, args.base_theta)
     sample = foliation.orbit_sample(group, base, args.points, args.max_word_len, args.seed)
     cov = foliation.coverage_statistic(sample, args.grid)
-    _write_csv(
-        args.out + ".csv",
-        "foliate",
-        args,
-        ["word_length", "zeta_re", "zeta_im", "theta"],
-        [sample.word_lengths, sample.zeta.real, sample.zeta.imag, sample.theta],
-    )
+    names = ["word_length", "zeta_re", "zeta_im", "theta"]
+    columns = [sample.word_lengths, sample.zeta.real, sample.zeta.imag, sample.theta]
+    _write_csv(args.out + ".csv", "foliate", args, names, columns)
     _write_json(
         args.out + ".json",
         {
@@ -323,13 +314,8 @@ def cmd_limit(args) -> int:
     f = _load_boundary(args.boundary)
     g = _element_from_args(args)
     rows = poisson.limit_diagnostic(f, g, args.nmax)
-    _write_csv(
-        args.out,
-        "limit",
-        args,
-        ["n", "oscillation", "value_re", "value_im"],
-        zip(*((n, osc, v.real, v.imag) for n, osc, v in rows)),
-    )
+    columns = zip(*((n, osc, v.real, v.imag) for n, osc, v in rows))
+    _write_csv(args.out, "limit", args, ["n", "oscillation", "value_re", "value_im"], columns)
     return 0
 
 
