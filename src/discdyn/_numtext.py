@@ -13,39 +13,45 @@ huge), and columns shorter than SHORT rows, go through % one by one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 SHORT = 128  # rows below which % per cell beats the arrays' fixed cost
 
-_QUADS = np.array([b"%04d" % i for i in range(10_000)], "S4").view(np.uint32)
+_QUAD_DIGITS = np.indices((10,) * 4).reshape(4, -1).T  # row i: the 4 digits of i
+_QUADS = np.ascontiguousarray(48 + _QUAD_DIGITS, np.uint8).view(np.uint32).ravel()  # "%04d" % i
 # the position of the last nonzero digit of each "%04d" text, counted from 1; -99 for 0000
-_QUAD_END = np.array([-99] + [len(b.rstrip(b"0")) for b in _QUADS.view("S4")[1:].tolist()])
+_QUAD_END = np.max(np.where(_QUAD_DIGITS > 0, np.arange(1, 5), -99), axis=1)
 _INT_KEEP = np.triu(np.full((16, 16), 255, np.uint8))[::-1]  # row n - 1: the last n digits
 _POW10 = np.array([float(10**p) for p in range(23)])  # each one exact
-_DECADES = np.array([  # entry E + 6: the least double >= 10^E
-    x if Fraction(x) >= Fraction(10) ** p else math.nextafter(x, math.inf)
-    for p, x in ((p, float(Fraction(10) ** p)) for p in range(-6, 17))
-])
+
+
+def _ceil_pow10(p):
+    """The least double >= 10^p."""
+    x = float(10**p) if p >= 0 else 1 / 10**-p  # correctly rounded
+    num, den = x.as_integer_ratio()
+    below = num * 10 ** max(-p, 0) < den * 10 ** max(p, 0)  # x < 10^p, exactly
+    return math.nextafter(x, math.inf) if below else x
+
+
+_DECADES = np.array([_ceil_pow10(p) for p in range(-6, 17)])  # entry E + 6
 _DIGITS = bytes(range(160, 177)).decode("latin-1")  # digit j of N stands as chr(160 + j)
 
 
-def _layout(e, k, sign):
-    """%g's text for exponent e, k significant digits and that sign on 28
-    columns: "-", "0.000" ending in column 5, digit j in column 6 + j before
+def _layout(e, k):
+    """%g's text for exponent e and k significant digits on 28 columns: the
+    sign's place, "0.000" ending in column 5, digit j in column 6 + j before
     the point and 7 + j after it, "e-0d"; "\\0" is no byte."""
     q = 1 if e < -4 else max(e + 1, 0)  # digits before the point
     digits = _DIGITS[: max(k, q)]
     body = digits[:q] + ("." if k > q > 0 else "\0") + digits[q:]
     head = "0." + "0" * (-e - 1) if -4 <= e < 0 else ""
     tail = "e-0%d" % -e if e < -4 else ""
-    lead = "-" if sign else "\0"
-    return lead + head.rjust(5, "\0") + body.ljust(18, "\0") + tail.ljust(4, "\0")
+    return "\0" + head.rjust(5, "\0") + body.ljust(18, "\0") + tail.ljust(4, "\0")
 
 
-_LAYOUTS = np.array(  # row ((E + 6) * 18 + k) * 2 + sign
-    [_layout(e, k, s) for e in range(-6, 17) for k in range(18) for s in (0, 1)], "U28"
+_LAYOUTS = np.array(  # row (E + 6) * 18 + k
+    [_layout(e, k) for e in range(-6, 17) for k in range(18)], "U28"
 ).view(np.uint32).astype(np.uint8).reshape(-1, 28)
 # where digit j (byte 160 + j) stands: column 6 + j before the point, 7 + j after it
 _WHOLE = np.where(_LAYOUTS == np.arange(28) + 154, 255, 0).astype(np.uint8)
@@ -54,6 +60,7 @@ _LITERALS = np.where(_LAYOUTS < 128, _LAYOUTS, 0).astype(np.uint8)
 
 
 def _split(a):
+    """Dekker's split a = hi + lo into halves of at most 26 bits."""
     c = 134217729.0 * a  # 2^27 + 1
     hi = c - (c - a)
     return hi, a - hi
@@ -81,9 +88,10 @@ def _float_cells(x):
     fast = (a >= _DECADES[0]) & (a < 1e16)
     a = np.where(fast, a, 1.0)
     e = np.searchsorted(_DECADES, a, "right") - 7  # 10^e <= a < 10^(e + 1)
-    h = a * _POW10.take(16 - e)
+    p = 16 - e
+    h = a * _POW10.take(p)
     ah, al = _split(a)
-    bh, bl = _POW10_HI.take(16 - e), _POW10_LO.take(16 - e)
+    bh, bl = _POW10_HI.take(p), _POW10_LO.take(p)
     n = h.astype(np.int64) + np.rint(((ah * bh - h) + ah * bl + al * bh) + al * bl).astype(np.int64)
     carry = n == 10**17
     n[carry] = 10**16
@@ -93,10 +101,11 @@ def _float_cells(x):
     k = 1 + _digits(n - lead * 10**16, d, 8)  # significant digits
     zero = x == 0.0
     d[zero, 7] = 48
-    key = ((e + carry + 6) * 18 + k) * 2 + np.signbit(x)
+    key = (e + carry + 6) * 18 + k
     m = _WHOLE.take(key, axis=0) & d[:, 1:29]
     m |= _FRACTION.take(key, axis=0) & d[:, :28]
     m |= _LITERALS.take(key, axis=0)
+    m[:, 0] = 45 * np.signbit(x)
     return m, fast | zero
 
 
