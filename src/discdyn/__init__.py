@@ -8,22 +8,15 @@ certified error bars.
 
 from .arcspace import (
     Arc,
-    SpherePoint,
     act_arc,
     act_arcs,
-    act_sphere,
     big_F,
     check_equivariance,
-    isotropy_residual,
-    quotient_to_sphere,
-    theta_transform,
 )
 from .boundary import (
     BoundaryFunction,
     InvalidPartitionError,
     angle_to_line,
-    cayley,
-    cayley_inv,
     compose_with_moebius,
     from_line_segments,
     indicator,
@@ -75,7 +68,6 @@ from .moebius import (
     MoebiusElement,
     act_disc,
     act_line,
-    boundary_fixed_points,
     classify,
     compose,
     fixed_points_line,
@@ -96,8 +88,6 @@ from .poisson import (
     NonDivergentError,
     extend,
     extend_many,
-    harmonic_conjugate,
-    harmonic_conjugate_many,
     limit_diagnostic,
     metric_distance,
     metric_norm,

@@ -10,14 +10,9 @@ image length as an explicit angle difference.
 
 big_F(z, x) is the harmonic measure of the arc x seen from z; it is invariant
 under the simultaneous action on z and x, which the test suite certifies.
-The two boundary circles theta = 0 and theta = 2pi are preserved and collapse
-to the poles of a sphere quotient.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,11 +51,6 @@ def act_arcs(alpha, beta, zeta, theta):
     return start, length
 
 
-def theta_transform(g: MoebiusElement, zeta: complex, theta: float) -> float:
-    """Arclength of g(arc) for one arc, by act_arcs."""
-    return float(act_arcs(g.alpha, g.beta, zeta, theta)[1])
-
-
 def act_arc(g: MoebiusElement, x: Arc) -> Arc:
     zeta, theta = act_arcs(g.alpha, g.beta, x.zeta, x.theta)
     return Arc(complex(zeta), float(theta))
@@ -70,7 +60,7 @@ def big_F(z: complex, x: Arc) -> float:
     """Harmonic measure of the arc x at the point z.
 
     Computed by moving z to the origin with T_z = (1, -z)/sqrt(1-|z|^2) and
-    measuring the image arc: F = theta_transform(T_z, zeta, theta)/2pi, which
+    measuring the image arc: F = (length of T_z(x))/2pi, which
     reduces to antiderivative differences at z0 = conj(z)*zeta.  This is a
     different evaluation point and interval than poisson.extend uses for the
     indicator, making the two routes independent cross-checks.
@@ -92,55 +82,3 @@ def check_equivariance(g: MoebiusElement, z: complex, x: Arc) -> float:
     """|F(g(z), g(x)) - F(z, x)|; zero in exact arithmetic."""
     gz = moebius.act_disc(g, z)
     return abs(big_F(gz, act_arc(g, x)) - big_F(z, x))
-
-
-def isotropy_residual(g: MoebiusElement) -> float:
-    """Distance from g(Arc(1, pi)) back to Arc(1, pi).
-
-    Vanishes (to rounding) exactly when g lies in the diagonal subgroup that
-    fixes the boundary points 1 and -1 (real alpha and beta).
-    """
-    y = act_arc(g, Arc(1.0 + 0.0j, math.pi))
-    return abs(y.zeta - 1.0) + abs(y.theta - math.pi)
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Quotient of the arc cylinder collapsing each boundary circle to a pole."""
-
-    kind: str  # "south" (theta=0), "north" (theta=2pi), or "interior"
-    zeta: complex = 1.0 + 0.0j
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("south", "north", "interior"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "interior" and not 0.0 < self.theta < TWO_PI:
-            raise ValueError("interior points need theta strictly inside (0, 2pi)")
-
-    @classmethod
-    def south(cls) -> "SpherePoint":
-        return cls("south")
-
-    @classmethod
-    def north(cls) -> "SpherePoint":
-        return cls("north")
-
-    @classmethod
-    def interior(cls, zeta: complex, theta: float) -> "SpherePoint":
-        z = complex(zeta)
-        return cls("interior", z / abs(z), float(theta))
-
-
-def quotient_to_sphere(x: Arc) -> SpherePoint:
-    if x.theta <= 0.0:
-        return SpherePoint.south()
-    if x.theta >= TWO_PI:
-        return SpherePoint.north()
-    return SpherePoint.interior(x.zeta, x.theta)
-
-
-def act_sphere(g: MoebiusElement, p: SpherePoint) -> SpherePoint:
-    if p.kind != "interior":
-        return p
-    return quotient_to_sphere(act_arc(g, Arc(p.zeta, p.theta)))

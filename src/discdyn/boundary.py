@@ -76,12 +76,6 @@ class Arc:
     def start_angle(self) -> float:
         return float(wrap_angle(math.atan2(self.zeta.imag, self.zeta.real)))
 
-    def contains_angle(self, s: float) -> bool:
-        """Membership in the half-open arc [start, start+theta)."""
-        if self.theta == TWO_PI:
-            return True
-        return float(wrap_angle(s - self.start_angle)) < self.theta
-
 
 def check_arcs(zeta: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`Arc`'s checks and normalisation on arrays of starts and lengths."""
@@ -167,9 +161,6 @@ class BoundaryFunction:
     def mean(self) -> complex:
         return complex(np.dot(self.piece_widths(), self.values) / TWO_PI)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values.imag), initial=0.0) <= tol)
-
     def scaled(self, a: complex) -> "BoundaryFunction":
         return BoundaryFunction(self.breakpoints.copy(), a * self.values)
 
@@ -206,13 +197,23 @@ class BoundaryFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "BoundaryFunction":
+        """Read the to_json() form; any other shape, or a number that is not
+        finite, raises InvalidPartitionError."""
         import json
 
         obj = json.loads(text)
-        br = np.asarray(obj["breakpoints"], dtype=float)
-        pairs = obj["values"]
-        vals = np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
-        f = cls(br, vals)
+        try:
+            br = np.asarray(obj["breakpoints"], dtype=float)
+            pairs = np.asarray(obj["values"], dtype=float)
+        except (KeyError, TypeError, ValueError) as e:
+            raise InvalidPartitionError(f"not boundary data: {e!r}") from None
+        if br.ndim != 1 or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InvalidPartitionError(
+                "boundary data needs a list of breakpoints and a list of [re, im] pairs"
+            )
+        if not (np.isfinite(br).all() and np.isfinite(pairs).all()):
+            raise InvalidPartitionError("boundary data holds a NaN or infinite number")
+        f = cls(br, pairs.view(complex)[:, 0])  # each [re, im] as one complex, bit for bit
         _check_unit_ball(f.values)
         return f
 
@@ -267,30 +268,6 @@ def l1_distance(f: BoundaryFunction, h: BoundaryFunction) -> float:
     br, fv, hv = merge_partition(f, h)
     widths = np.diff(br, append=br[0] + TWO_PI)
     return float(np.dot(widths, np.abs(fv - hv)))
-
-
-# --- Cayley correspondence with the compactified real line ---
-
-
-def cayley(z: complex) -> float:
-    """Boundary point to line coordinate: i(1-z)/(1+z); -1 maps to inf."""
-    z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise ValueError(f"cayley requires |z| = 1, got |z| = {abs(z)}")
-    if z == -1.0:
-        return INF
-    w = 1j * (1.0 - z) / (1.0 + z)
-    if abs(w.imag) > 1e-12 * max(1.0, abs(w)):
-        raise ValueError("cayley image unexpectedly far from the real line")
-    return w.real
-
-
-def cayley_inv(x: float) -> complex:
-    """Line coordinate to boundary point: (i-x)/(i+x); inf maps to -1 exactly."""
-    if math.isinf(x):
-        return complex(-1.0, 0.0)
-    z = (1j - x) / (1j + x)
-    return z / abs(z)
 
 
 def line_to_angle(x):

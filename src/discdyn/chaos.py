@@ -552,14 +552,6 @@ class Conjugacy:
     def h_inv_line(self, x: float) -> float:
         return moebius.act_line(self.c2, self._hn_inv(moebius.act_line(moebius.inverse(self.c1), x)))
 
-    def h_circle(self, z: complex) -> complex:
-        from .boundary import cayley, cayley_inv
-
-        return cayley_inv(self.h_line(cayley(z)))
-
-    def __call__(self, z: complex) -> complex:
-        return self.h_circle(z)
-
     def transport(self, f: BoundaryFunction) -> BoundaryFunction:
         """Boundary data f o h; breakpoints pull back through h^{-1}."""
         if f.breakpoints.size == 0:

@@ -41,6 +41,18 @@ def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
 
+def _count(least: int):
+    """argparse type of a count flag: an integer no smaller than `least`."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return count
+
+
 def _echo_pairs(args) -> list[tuple[str, str]]:
     skip = {"func", "command"}
     pairs = []
@@ -241,9 +253,6 @@ def cmd_arcflow(args) -> int:
 
 
 def cmd_foliate(args) -> int:
-    for flag, least in (("points", 0), ("max_word_len", 0), ("grid", 1)):
-        if getattr(args, flag) < least:
-            raise UsageError(f"--{flag.replace('_', '-')} must be at least {least}")
     group = foliation.genus2_group()
     base = Arc(args.base_zeta, args.base_theta)
     sample = foliation.orbit_sample(group, base, args.points, args.max_word_len, args.seed)
@@ -330,7 +339,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("extend", parents=[], help="harmonic extension heatmap + CSV")
     p.add_argument("--boundary", required=True)
-    p.add_argument("--grid", type=int, default=64)
+    # with 1 or 2 points a side, no grid point lies in |z| <= 0.95
+    p.add_argument("--grid", type=_count(3), default=64)
     p.add_argument("--out", default="extend")
     p.set_defaults(func=cmd_extend)
 
@@ -343,14 +353,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("orbit", help="orbit diagnostics of the Z-action")
     p.add_argument("--boundary", required=True)
     _add_element_flags(p)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_count(0), default=20)
     p.add_argument("--out", default="orbit.csv")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("dense", help="dense-orbit certificate rows")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--shift", type=float, default=None)
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_count(1), default=6)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default="dense.csv")
     p.set_defaults(func=cmd_dense)
@@ -367,17 +377,17 @@ def _build_parser() -> _Parser:
     _add_element_flags(p)
     p.add_argument("--base-zeta", type=_complex, default=complex(1.0))
     p.add_argument("--base-theta", type=float, default=math.pi)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_count(0), default=50)
     p.add_argument("--out", default="arcflow.csv")
     p.set_defaults(func=cmd_arcflow)
 
     p = sub.add_parser("foliate", help="genus-2 orbit sampling on the arc cylinder")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--max-word-len", type=int, default=6)
+    p.add_argument("--points", type=_count(0), default=2000)
+    p.add_argument("--max-word-len", type=_count(0), default=6)
     p.add_argument("--base-zeta", type=_complex, default=complex(1.0))
     p.add_argument("--base-theta", type=float, default=math.pi)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=_count(1), default=32)
     p.add_argument("--out", default="foliate")
     p.set_defaults(func=cmd_foliate)
 
@@ -391,7 +401,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("projective", help="cone-model invariance residuals")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_count(1), default=500)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default="projective.csv")
     p.set_defaults(func=cmd_projective)
@@ -399,7 +409,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("limit", help="iterate-to-constant diagnostic table")
     p.add_argument("--boundary", required=True)
     _add_element_flags(p)
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_count(0), default=40)
     p.add_argument("--out", default="limit.csv")
     p.set_defaults(func=cmd_limit)
 

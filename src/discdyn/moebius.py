@@ -74,9 +74,6 @@ class MoebiusElement:
         d2 = max(abs(self.alpha + other.alpha), abs(self.beta + other.beta))
         return min(d1, d2)
 
-    def __matmul__(self, other: "MoebiusElement") -> "MoebiusElement":
-        return compose(self, other)
-
 
 @dataclass(frozen=True)
 class HalfPlaneMatrix:
@@ -194,38 +191,11 @@ def multiplier(g: MoebiusElement) -> float:
     return half * half
 
 
-def boundary_fixed_points(g: MoebiusElement) -> tuple[complex, complex]:
-    """Fixed points on |z|=1: (expanding, contracting); coincide for parabolic.
-
-    Solves conj(beta) z^2 + (conj(alpha) - alpha) z - beta = 0.
-    """
-    cls = classify(g)
-    if cls not in (ElementClass.HYPERBOLIC, ElementClass.PARABOLIC):
-        raise ValueError(f"{cls.value} element has no boundary fixed locus of this kind")
-    disc = max(g.alpha.real ** 2 - 1.0, 0.0)
-    root = math.sqrt(disc)
-    bb = np.conj(g.beta)
-    if bb == 0.0:
-        # only near-identity rotations land here (classified parabolic by the
-        # tolerance band); they have no boundary fixed points
-        raise ValueError("element is numerically a rotation; no boundary fixed points")
-    z1 = (1j * g.alpha.imag + root) / bb
-    z2 = (1j * g.alpha.imag - root) / bb
-    z1 /= abs(z1)
-    z2 /= abs(z2)
-    if cls is ElementClass.PARABOLIC:
-        return z1, z1
-    # expanding fixed point: |g'(z)| = 1/|conj(beta) z + conj(alpha)|^2 > 1
-    if abs(bb * z1 + np.conj(g.alpha)) < 1.0:
-        return z1, z2
-    return z2, z1
-
-
 def fixed_points_line(g: MoebiusElement) -> tuple[float, float]:
     """Fixed points on the compactified line: (expanding, contracting).
 
-    Independent of boundary_fixed_points: works in half-plane coordinates,
-    solving c x^2 + (d - a) x - b = 0 with explicit handling of c = 0.
+    Works in half-plane coordinates, solving c x^2 + (d - a) x - b = 0 with
+    explicit handling of c = 0.
     """
     cls = classify(g)
     if cls not in (ElementClass.HYPERBOLIC, ElementClass.PARABOLIC):

@@ -155,9 +155,6 @@ class HarmonicFunction:
     def __call__(self, z: complex) -> complex:
         return extend(self.boundary, z)
 
-    def at(self, zs) -> np.ndarray:
-        return extend_many(self.boundary, zs)
-
     def sup_bound(self) -> float:
         return max(self.boundary.sup_norm(), self.tail_bound)
 
@@ -438,47 +435,6 @@ def metric_distance(
     unrep = tuple(p1.unrepresented) + tuple(p2.unrepresented)
     tail = (p1.sup_bound() + p2.sup_bound()) if unrep else 0.0
     return metric_norm(HarmonicFunction(diff, unrep, tail), ex)
-
-
-# --- harmonic conjugate -----------------------------------------------------
-
-
-def _conjugate_antiderivative(z: complex, s):
-    # antiderivative of the conjugate kernel -2r sin(s-t)/|e^{is}-z|^2;
-    # periodic in s, so piece sums telescope cyclically with no unwrap
-    r = abs(z)
-    t = math.atan2(z.imag, z.real)
-    s = np.asarray(s, dtype=float)
-    return -np.log(1.0 - 2.0 * r * np.cos(s - t) + r * r)
-
-
-def harmonic_conjugate(f: BoundaryFunction, z: complex) -> float:
-    """Conjugate function value pinned by conjugate(0) = 0.
-
-    f must be real-valued; f + i*conjugate is holomorphic (the imaginary part
-    of the Schwarz integral of f).
-    """
-    return float(harmonic_conjugate_many(f, np.array([complex(z)]))[0])
-
-
-def harmonic_conjugate_many(f: BoundaryFunction, zs) -> np.ndarray:
-    if not f.is_real():
-        raise ValueError("harmonic conjugate requires real boundary data")
-    zs = np.asarray(zs, dtype=complex)
-    flat = zs.ravel()
-    if flat.size and np.max(np.abs(flat)) > 1.0 - 1e-9:
-        raise NearBoundaryError("points must satisfy |z| <= 1 - 1e-9")
-    if f.breakpoints.size == 0:
-        return np.zeros(zs.shape)
-    vals = f.values.real
-    out = np.empty(flat.shape)
-    for i, z in enumerate(flat):
-        u = _conjugate_antiderivative(complex(z), f.breakpoints)
-        du = np.empty_like(u)
-        du[:-1] = u[1:] - u[:-1]
-        du[-1] = u[0] - u[-1]
-        out[i] = np.dot(du, vals) / TWO_PI
-    return out.reshape(zs.shape)
 
 
 # --- iterated-action diagnostics --------------------------------------------

@@ -33,15 +33,12 @@ def random_element(rng, spread=1.2):
     return compose(rotation(t), compose(hyperbolic_multiplier(math.exp(u)), rotation(p)))
 
 
-def random_boundary(rng, n_pieces=None, real=False):
+def random_boundary(rng, n_pieces=None):
     n = int(n_pieces or rng.integers(2, 9))
     br = np.sort(rng.uniform(0.0, TWO_PI, n))
     while np.min(np.diff(br, append=br[0] + TWO_PI)) < 1e-6:
         br = np.sort(rng.uniform(0.0, TWO_PI, n))
-    if real:
-        vals = rng.uniform(-1.0, 1.0, n).astype(complex)
-    else:
-        vals = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
+    vals = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
     return BoundaryFunction(br, vals)
 
 

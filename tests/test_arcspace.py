@@ -5,11 +5,9 @@ import pytest
 
 from discdyn import (
     Arc,
-    SpherePoint,
     act_arc,
     act_arcs,
     act_disc,
-    act_sphere,
     big_F,
     check_equivariance,
     compose,
@@ -17,10 +15,7 @@ from discdyn import (
     hyperbolic_multiplier,
     identity,
     indicator,
-    isotropy_residual,
-    quotient_to_sphere,
     rotation,
-    theta_transform,
 )
 
 from conftest import random_element
@@ -38,8 +33,8 @@ class TestThetaTransform:
         for _ in range(20):
             zeta = np.exp(1j * rng.uniform(0, TWO_PI))
             th = rng.uniform(0, TWO_PI)
-            assert theta_transform(identity(), zeta, th) == pytest.approx(th)
-            assert theta_transform(rotation(rng.uniform(0, TWO_PI)), zeta, th) == pytest.approx(th)
+            for g in (identity(), rotation(rng.uniform(0, TWO_PI))):
+                assert act_arcs(g.alpha, g.beta, zeta, th)[1] == pytest.approx(th)
 
     def test_matches_image_endpoint_angle(self, rng):
         # the transformed length is the ccw angle between the image endpoints
@@ -50,24 +45,25 @@ class TestThetaTransform:
             w0 = act_disc(g, zeta)
             w1 = act_disc(g, zeta * np.exp(1j * th))
             expect = (np.angle(w1) - np.angle(w0)) % TWO_PI
-            assert theta_transform(g, zeta, th) == pytest.approx(expect, abs=1e-9)
+            assert act_arcs(g.alpha, g.beta, zeta, th)[1] == pytest.approx(expect, abs=1e-9)
 
     def test_endpoints_fixed(self, rng):
         g = random_element(rng)
         zeta = np.exp(1j * rng.uniform(0, TWO_PI))
-        assert theta_transform(g, zeta, 0.0) == 0.0
-        assert theta_transform(g, zeta, TWO_PI) == pytest.approx(TWO_PI)
+        assert act_arcs(g.alpha, g.beta, zeta, 0.0)[1] == 0.0
+        assert act_arcs(g.alpha, g.beta, zeta, TWO_PI)[1] == pytest.approx(TWO_PI)
 
     def test_cocycle_under_composition(self, rng):
         for _ in range(20):
             g, h = random_element(rng), random_element(rng)
+            gh = compose(g, h)
             zeta = np.exp(1j * rng.uniform(0, TWO_PI))
             th = rng.uniform(0.1, TWO_PI - 0.1)
-            via_h = theta_transform(h, zeta, th)
+            via_h = act_arcs(h.alpha, h.beta, zeta, th)[1]
             zh = act_disc(h, zeta)
             zh /= abs(zh)
-            assert theta_transform(compose(g, h), zeta, th) == pytest.approx(
-                theta_transform(g, zh, via_h), abs=1e-9
+            assert act_arcs(gh.alpha, gh.beta, zeta, th)[1] == pytest.approx(
+                act_arcs(g.alpha, g.beta, zh, via_h)[1], abs=1e-9
             )
 
 
@@ -144,37 +140,10 @@ class TestHarmonicMeasure:
         assert worst < 1e-9
 
     def test_isotropy_detects_diagonal_subgroup(self):
-        assert isotropy_residual(hyperbolic_multiplier(3.0)) < 1e-12
-        assert isotropy_residual(rotation(0.5)) > 1e-3
-
-
-class TestSphereQuotient:
-    def test_poles_absorb_boundary_circles(self):
-        assert quotient_to_sphere(Arc(1j, 0.0)) == SpherePoint.south()
-        assert quotient_to_sphere(Arc(-1.0 + 0j, TWO_PI)) == SpherePoint.north()
-
-    def test_interior_keeps_coordinates(self):
-        p = quotient_to_sphere(Arc(1j, 1.0))
-        assert p.kind == "interior"
-        assert p.zeta == 1j and p.theta == 1.0
-
-    def test_poles_are_fixed_points(self, rng):
-        g = random_element(rng)
-        assert act_sphere(g, SpherePoint.south()) == SpherePoint.south()
-        assert act_sphere(g, SpherePoint.north()) == SpherePoint.north()
-
-    def test_action_descends_from_arcs(self, rng):
-        for _ in range(20):
-            g = random_element(rng)
-            a = random_arc(rng)
-            top = quotient_to_sphere(act_arc(g, a))
-            bottom = act_sphere(g, quotient_to_sphere(a))
-            assert top.kind == bottom.kind
-            assert abs(top.zeta - bottom.zeta) < 1e-9
-            assert top.theta == pytest.approx(bottom.theta, abs=1e-9)
-
-    def test_interior_kind_validation(self):
-        with pytest.raises(ValueError):
-            SpherePoint("interior", 1.0 + 0j, 0.0)
-        with pytest.raises(ValueError):
-            SpherePoint("equator", 1.0 + 0j, 1.0)
+        # the elements with real alpha and beta fix the boundary points 1 and
+        # -1, so they map Arc(1, pi) to itself; a rotation moves it
+        half = Arc(1.0 + 0.0j, math.pi)
+        fixed = act_arc(hyperbolic_multiplier(3.0), half)
+        assert abs(fixed.zeta - 1.0) + abs(fixed.theta - math.pi) < 1e-12
+        moved = act_arc(rotation(0.5), half)
+        assert abs(moved.zeta - 1.0) + abs(moved.theta - math.pi) > 1e-3

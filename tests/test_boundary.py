@@ -12,8 +12,6 @@ from discdyn import (
     BoundaryFunction,
     InvalidPartitionError,
     angle_to_line,
-    cayley,
-    cayley_inv,
     compose,
     compose_with_moebius,
     from_line_segments,
@@ -242,9 +240,10 @@ class TestComposition:
 
 class TestCayley:
     def test_frozen_anchor_points(self):
-        assert cayley(1.0) == 0.0
-        assert math.isinf(cayley(-1.0))
-        assert abs(cayley_inv(0.0) - 1.0) < 1e-15
+        # z = 1 (angle 0) is the line's 0, and z = -1 (angle pi) its infinity
+        assert angle_to_line(0.0) == 0.0 and line_to_angle(0.0) == 0.0
+        assert math.isinf(angle_to_line(math.pi))
+        assert line_to_angle(math.inf) == math.pi
 
     def test_round_trip(self, rng):
         for s in rng.uniform(0.0, TWO_PI, 100):
@@ -357,25 +356,20 @@ class TestSerialization:
         g = BoundaryFunction.from_json(json.dumps(data))
         assert f.allclose(g)
 
-    def test_sup_norm_and_is_real(self):
+    def test_sup_norm(self):
         f = BoundaryFunction([0.0, 1.0], [0.5, -0.25])
-        assert f.is_real()
         assert abs(f.sup_norm() - 0.5) < 1e-15
-        assert not BoundaryFunction([0.0, 1.0], [0.5j, 0.0]).is_real()
 
 
 class TestArcs:
-    def test_contains_angle(self):
-        a = Arc(np.exp(1j * 6.0), 1.0)  # wraps through 0
-        assert a.contains_angle(6.2)
-        assert a.contains_angle(0.5)
-        assert not a.contains_angle(3.0)
-
     def test_indicator_breakpoints(self):
         a = Arc(np.exp(1j * 1.0), 2.0)
         f = indicator(a)
         assert f.evaluate(1.5) == 1.0
         assert f.evaluate(3.5) == 0.0
+        wrapped = indicator(Arc(np.exp(1j * 6.0), 1.0))  # wraps through 0
+        assert wrapped.evaluate(6.2) == wrapped.evaluate(0.5) == 1.0
+        assert wrapped.evaluate(3.0) == 0.0
 
     def test_trivial_and_full_arcs(self):
         assert indicator(Arc(1.0, 0.0)).sup_norm() == 0.0

@@ -163,14 +163,24 @@ class TestFoliate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--points", "-5"], ["--max-word-len", "-1"], ["--grid", "0"], ["--grid", "-3"],
-         ["--base-theta", "nan"], ["--base-zeta", "nan"], ["--base-theta", "inf"]],
+        [["foliate", "--points", "20", *f] for f in (
+            ["--points", "-5"], ["--max-word-len", "-1"], ["--grid", "0"], ["--grid", "-3"],
+            ["--base-theta", "nan"], ["--base-zeta", "nan"], ["--base-theta", "inf"])]
+        # every count flag of every command takes its least value
+        + [["extend", "--boundary", "f.json", "--grid", "0"],
+           ["extend", "--boundary", "f.json", "--grid", "1"],
+           ["extend", "--boundary", "f.json", "--grid", "2"],
+           ["dense", "--lambda", "2", "--levels", "0"],
+           ["projective", "--samples", "0"],
+           ["orbit", "--boundary", "f.json", "--lambda", "2", "--steps", "-1"],
+           ["arcflow", "--shift", "1", "--steps", "-1"],
+           ["limit", "--boundary", "f.json", "--lambda", "2", "--nmax", "-1"]],
     )
     def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
-        assert main(["foliate", "--points", "20", *flags, "--out", "bad"]) == 1
+        assert main([*flags, "--out", "bad"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
-        assert not (tmp_path / "bad.csv").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
 
 
 def _row_writer(path, title, args, names, rows):
@@ -243,6 +253,26 @@ class TestExitCodes:
     def test_malformed_boundary_json(self, bdry, tmp_path):
         (tmp_path / "bad.json").write_text("{not json")
         assert main(["orbit", "--boundary", "bad.json", "--lambda", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"breakpoints": [0.0, 1.0], "values": [[0.5, 0.0], [0.1]]}',
+         '{"breakpoints": [0.0, 1.0], "values": [[0.5], [0.1]]}',
+         '{"breakpoints": [0.0, 1.0], "values": [0.5, 0.1]}',
+         '{"values": [[0.5, 0.0]]}',
+         '[[0.0, 1.0], [[0.5, 0.0], [0.1, 0.0]]]',
+         '{"breakpoints": [NaN, 1.0], "values": [[0.5, 0.0], [0.1, 0.0]]}',
+         '{"breakpoints": [0.0, Infinity], "values": [[0.5, 0.0], [0.1, 0.0]]}',
+         '{"breakpoints": [0.0, 1.0], "values": [[0.5, NaN], [0.1, 0.0]]}'],
+        ids=["short-pair", "one-element-pairs", "scalar-values", "no-breakpoints",
+             "top-level-list", "nan-breakpoint", "inf-breakpoint", "nan-value"],
+    )
+    def test_malformed_boundary_data(self, bdry, tmp_path, capsys, text):
+        (tmp_path / "bad.json").write_text(text)
+        assert main(["orbit", "--boundary", "bad.json", "--lambda", "2", "--out", "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_alpha_without_beta(self, bdry):
         assert main(["orbit", "--boundary", "f.json", "--alpha", "2+0j"]) == 1

@@ -13,7 +13,6 @@ from discdyn import (
     MoebiusElement,
     act_disc,
     act_line,
-    boundary_fixed_points,
     classify,
     compose,
     fixed_points_line,
@@ -170,6 +169,7 @@ class TestFixedPoints:
             for fp, expanding in ((e, True), (con, False)):
                 if math.isinf(fp):
                     continue
+                assert abs(act_line(g, fp) - fp) < 1e-9 * (1 + abs(fp))
                 d = abs(act_line(g, fp + h) - act_line(g, fp - h)) / (2 * h)
                 assert (d > 1.0) == expanding
 
@@ -177,20 +177,6 @@ class TestFixedPoints:
         e, c = fixed_points_line(parabolic_shift(2.0))
         assert math.isinf(e) and math.isinf(c)
 
-    def test_disc_and_line_routes_agree(self, rng):
-        from discdyn import cayley
-
-        for _ in range(50):
-            c = random_element(rng)
-            g = compose(compose(c, hyperbolic_multiplier(2.0)), inverse(c))
-            ze, zc = boundary_fixed_points(g)
-            xe, xc = fixed_points_line(g)
-            for z, x in ((ze, xe), (zc, xc)):
-                if math.isinf(x):
-                    assert abs(z + 1.0) < 1e-6
-                else:
-                    assert abs(cayley(z) - x) < 1e-6 * (1 + abs(x))
-
     def test_elliptic_has_no_boundary_fixed_points(self):
         with pytest.raises(ValueError):
-            boundary_fixed_points(rotation(0.3))
+            fixed_points_line(rotation(0.3))

@@ -21,8 +21,6 @@ from discdyn import (
     NonDivergentError,
     extend,
     extend_many,
-    harmonic_conjugate,
-    harmonic_conjugate_many,
     hyperbolic_multiplier,
     indicator,
     l1_distance,
@@ -92,37 +90,6 @@ class TestExtend:
         zs = 0.9 * np.exp(1j * rng.uniform(0, TWO_PI, 100)) * rng.uniform(0, 1, 100)
         vals = extend_many(f, zs).real
         assert np.all(vals > 0.0) and np.all(vals < 1.0)
-
-
-class TestHarmonicity:
-    def test_conjugate_gives_holomorphic_pair(self, rng):
-        # f + i*conj(f) satisfies Cauchy-Riemann; residual is O(h^2)
-        f = random_boundary(rng, real=True)
-        z = 0.2 + 0.1j
-        res = []
-        for h in (1e-2, 5e-3):
-            def F(w):
-                return extend(f, w).real + 1j * harmonic_conjugate(f, w)
-
-            fx = (F(z + h) - F(z - h)) / (2 * h)
-            fy = (F(z + 1j * h) - F(z - 1j * h)) / (2 * h)
-            res.append(abs(fx + 1j * fy))
-        assert res[1] < res[0]
-        assert res[1] < 1e-4
-
-    def test_conjugate_vanishes_at_origin(self, rng):
-        f = random_boundary(rng, real=True)
-        assert abs(harmonic_conjugate(f, 0.0)) < 1e-12
-
-    def test_conjugate_many_matches_scalar(self, rng):
-        f = random_boundary(rng, real=True)
-        zs = 0.6 * (rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10))
-        out = harmonic_conjugate_many(f, zs)
-        assert max(abs(out[i] - harmonic_conjugate(f, complex(zs[i]))) for i in range(10)) < 1e-13
-
-    def test_conjugate_of_constant_is_zero(self):
-        f = BoundaryFunction.constant(0.4)
-        assert abs(harmonic_conjugate(f, 0.3 + 0.2j)) < 1e-12
 
 
 class TestMetric:
