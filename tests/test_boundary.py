@@ -362,14 +362,17 @@ class TestSerialization:
 
 
 class TestArcs:
+    def test_contains_angle(self):
+        wrapped = indicator(Arc(np.exp(1j * 6.0), 1.0))  # wraps through 0
+        assert wrapped.evaluate(6.2) == 1.0
+        assert wrapped.evaluate(0.5) == 1.0
+        assert wrapped.evaluate(3.0) == 0.0
+
     def test_indicator_breakpoints(self):
         a = Arc(np.exp(1j * 1.0), 2.0)
         f = indicator(a)
         assert f.evaluate(1.5) == 1.0
         assert f.evaluate(3.5) == 0.0
-        wrapped = indicator(Arc(np.exp(1j * 6.0), 1.0))  # wraps through 0
-        assert wrapped.evaluate(6.2) == wrapped.evaluate(0.5) == 1.0
-        assert wrapped.evaluate(3.0) == 0.0
 
     def test_trivial_and_full_arcs(self):
         assert indicator(Arc(1.0, 0.0)).sup_norm() == 0.0
