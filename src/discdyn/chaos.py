@@ -9,7 +9,10 @@ set A_n whose complement has small arclength.  The report certifies per level
 
 Periodic seed: f_eps sums translates of a window restriction of f along the
 cyclic group generated by gamma^k, giving a boundary function fixed by
-gamma^k at the representation level and metric-close to f.
+gamma^k at the representation level and metric-close to f.  The builders take
+the normal form's rate, the multiplier lam of x -> lam x or the shift a of
+x -> x + a, and use it as given: the period k and every translate come from
+that number, never from an element read back.
 
 Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
@@ -27,6 +30,7 @@ instead of being materialized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,37 +120,49 @@ class DenseOrbitSchedule:
                     raise ValueError(f"rate*gap > 2n+1 fails at n = {n}")
 
 
-def make_schedule(lam: float, n_levels: int) -> DenseOrbitSchedule:
-    """Minimal hyperbolic schedule: k_1 = 1, smallest gaps keeping windows apart."""
-    if not lam > 1.0 + 1e-9:
-        raise NotHyperbolicError(f"multiplier {lam} must exceed 1")
-    ks = [1]
-    for n in range(1, n_levels):
-        target = n * (n + 1)
-        d = int(math.floor(math.log(target) / math.log(lam))) + 1
-        while lam**d <= target:
-            d += 1
-        while d > 1 and lam ** (d - 1) > target:
-            d -= 1
-        ks.append(ks[-1] + d)
-    sched = DenseOrbitSchedule("hyperbolic", float(lam), tuple(ks))
+def _least_exponent(kind: str, rate: float, target: float) -> int:
+    """Least integer e >= 1 with rate^e > target (hyperbolic, multiplier rate)
+    or rate*e > target (parabolic, shift rate): the closed-form start, then
+    exact correction steps.  The rate is checked here, for every caller."""
+    if kind == "hyperbolic":
+        if not rate > 1.0 + 1e-9:
+            raise NotHyperbolicError(f"multiplier {rate} must exceed 1 + 1e-9")
+        start, power = math.log(target) / math.log(rate), lambda e: rate**e
+    else:
+        if not rate > 0.0:
+            raise NotParabolicError(f"shift {rate} must be positive")
+        start, power = target / rate, lambda e: rate * e
+    # past 2^52 a unit step no longer changes the exponent as a double
+    if not start < 2.0**52:
+        raise ResolutionError(f"rate {rate} needs exponents beyond double resolution")
+    e = int(start) + 1
+    while power(e) <= target:
+        e += 1
+    while e > 1 and power(e - 1) > target:
+        e -= 1
+    return e
+
+
+def _schedule(kind: str, rate: float, n_levels: int) -> DenseOrbitSchedule:
+    """k_1 = 1 and each gap least with n(n+1) < rate^gap (hyperbolic) or
+    rate*gap > 2n+1 (parabolic).  The gap past the last level is found too,
+    so a one-level schedule still has its rate checked."""
+    targets = [n * (n + 1) if kind == "hyperbolic" else 2 * n + 1 for n in range(1, n_levels + 1)]
+    gaps = [_least_exponent(kind, rate, t) for t in targets]
+    ks = tuple(itertools.accumulate(gaps[:-1], initial=1))
+    sched = DenseOrbitSchedule(kind, float(rate), ks)
     sched.check()
     return sched
+
+
+def make_schedule(lam: float, n_levels: int) -> DenseOrbitSchedule:
+    """Minimal hyperbolic schedule: k_1 = 1, smallest gaps keeping windows apart."""
+    return _schedule("hyperbolic", lam, n_levels)
 
 
 def make_parabolic_schedule(a: float, n_levels: int) -> DenseOrbitSchedule:
     """Minimal parabolic schedule: windows [a k_n - n, a k_n + n] kept disjoint."""
-    if not a > 0.0:
-        raise NotParabolicError(f"shift {a} must be positive")
-    ks = [1]
-    for n in range(1, n_levels):
-        d = max(1, math.ceil((2 * n + 2) / a))
-        while a * d <= 2 * n + 1:
-            d += 1
-        ks.append(ks[-1] + d)
-    sched = DenseOrbitSchedule("parabolic", float(a), tuple(ks))
-    sched.check()
-    return sched
+    return _schedule("parabolic", a, n_levels)
 
 
 # --- target family -----------------------------------------------------------
@@ -340,10 +356,10 @@ def dense_orbit_report(
 
 @dataclass
 class PeriodicApproximant:
-    """Boundary function with f o gamma^k = f at the representation level."""
+    """Boundary function with f o gamma^k = f at the representation level, for
+    gamma the normal form of `kind` with multiplier or shift `rate`."""
 
     function: HarmonicFunction
-    gamma: MoebiusElement
     kind: str
     rate: float
     n: int
@@ -392,57 +408,31 @@ def _pick_n(epsilon: float, kind: str) -> int:
 
 
 def build_periodic_approximant(
-    f: BoundaryFunction, epsilon: float, gamma: MoebiusElement
+    f: BoundaryFunction, epsilon: float, lam: float
 ) -> PeriodicApproximant:
-    """Periodic boundary function within metric epsilon of f.
+    """Periodic boundary function within metric epsilon of f, fixed by gamma^k
+    for the hyperbolic normal form gamma: x -> lam*x on the line (fixing z = 1
+    and z = -1; transport other elements with conjugating_map).
 
-    gamma must be hyperbolic in the normalized form fixing z = 1 and z = -1
-    (real alpha and beta; the element x -> lam*x on the line).  Window level n
-    is minimal with arclength(B_n^c) <= epsilon*pi, and the period exponent k
-    is minimal with lam^k > n^2, which keeps all translates of the window
-    disjoint.
+    The multiplier lam is used as given; no group element is formed.  Window
+    level n is minimal with arclength(B_n^c) <= epsilon*pi, and the period
+    exponent k is minimal with lam^k > n^2, which keeps all translates of the
+    window disjoint.
     """
-    if not 0.0 < epsilon <= 2.0:
-        raise ValueError(f"epsilon = {epsilon} outside (0, 2]")
-    if moebius.classify(gamma) is not ElementClass.HYPERBOLIC:
-        raise NotHyperbolicError("gamma must be hyperbolic")
-    if abs(gamma.alpha.imag) > 1e-12 or abs(gamma.beta.imag) > 1e-12:
-        raise NotHyperbolicError(
-            "gamma must fix z = 1 and z = -1 (use the normalized multiplier form; "
-            "transport general elements with conjugating_map)"
-        )
-    lam = moebius.multiplier(gamma)
-    n = _pick_n(epsilon, "hyperbolic")
-    # lam^k > n^2, strictly: the relative guard keeps float noise in the
-    # multiplier from stealing the boundary case (lam=2, n=4 must give k=5)
-    k = 1
-    while lam**k <= n * n * (1.0 + 1e-12):
-        k += 1
-    return _assemble_periodic(f, gamma, "hyperbolic", lam, n, k)
+    return _assemble_periodic(f, epsilon, "hyperbolic", lam)
 
 
 def build_parabolic_periodic(
-    f: BoundaryFunction, epsilon: float, gamma: MoebiusElement
+    f: BoundaryFunction, epsilon: float, a: float
 ) -> PeriodicApproximant:
-    """Parabolic counterpart: window [-n, n], period exponent minimal with a*k > 2n.
+    """Parabolic counterpart for gamma: x -> x + a, the shift a used as given:
+    window [-n, n], period exponent minimal with a*k > 2n.
 
     Far translates pile up near the angle of infinity with length decaying
     like 1/m, so the unmaterialized-length floor scales with epsilon instead
     of chasing a fixed tiny floor; the certificate absorbs it in the bar.
     """
-    if not 0.0 < epsilon <= 2.0:
-        raise ValueError(f"epsilon = {epsilon} outside (0, 2]")
-    if moebius.classify(gamma) is not ElementClass.PARABOLIC:
-        raise NotParabolicError("gamma must be parabolic")
-    m = moebius.to_half_plane(gamma)
-    a = moebius.act_line(gamma, 0.0)
-    if not (abs(m.c) < 1e-12 and a > 0.0):
-        raise NotParabolicError("gamma must act as x -> x + a with a > 0")
-    n = _pick_n(epsilon, "parabolic")
-    k = 1
-    while a * k <= 2 * n * (1.0 + 1e-12):
-        k += 1
-    return _assemble_periodic(f, gamma, "parabolic", a, n, k, min(0.02, epsilon / 12.0))
+    return _assemble_periodic(f, epsilon, "parabolic", a)
 
 
 def _unrep_arcs_periodic(kind, rate, n, k, m_cap):
@@ -467,9 +457,12 @@ def _translate_terms(f, kind, rate, n, k, m_lo, m_hi) -> BoundaryFunction:
     return from_line_segments(*_moved(_window_pieces(f, kind, n), kind, rate, exps))
 
 
-def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicApproximant:
-    if len_floor is None:
-        len_floor = 1e-9 if kind == "hyperbolic" else 1e-4
+def _assemble_periodic(f, epsilon, kind, rate) -> PeriodicApproximant:
+    if not 0.0 < epsilon <= 2.0:
+        raise ValueError(f"epsilon = {epsilon} outside (0, 2]")
+    n = _pick_n(epsilon, kind)
+    k = _least_exponent(kind, rate, n * n if kind == "hyperbolic" else 2 * n)
+    len_floor = 1e-9 if kind == "hyperbolic" else min(0.02, epsilon / 12.0)
     m_cap = 1
     while True:
         arcs, tail_len = _unrep_arcs_periodic(kind, rate, n, k, m_cap)
@@ -480,7 +473,7 @@ def _assemble_periodic(f, gamma, kind, rate, n, k, len_floor=None) -> PeriodicAp
         m_cap += 1
     mat = _translate_terms(f, kind, rate, n, k, -m_cap, m_cap)
     function = HarmonicFunction(mat, arcs, f.sup_norm())
-    return PeriodicApproximant(function, gamma, kind, rate, n, k, m_cap, f)
+    return PeriodicApproximant(function, kind, rate, n, k, m_cap, f)
 
 
 # --- conjugacy ---------------------------------------------------------------

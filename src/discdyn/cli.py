@@ -116,39 +116,59 @@ def _save_boundary(path, f: BoundaryFunction, config: dict):
         fh.write(f.to_json()[:-1] + ', "config": ' + json.dumps(config) + "}\n")
 
 
+def _real(least: float = -math.inf):
+    """argparse type of a float flag: a finite number no smaller than `least`."""
+
+    def real(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+        if x < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {x}")
+        return x
+
+    return real
+
+
+def _normal_form(args, suffix="") -> tuple[str, float]:
+    """(kind, rate) of the --lambda/--shift flags, exactly one of which is given."""
+    lam = getattr(args, "lam" + suffix)
+    shift = getattr(args, "shift" + suffix)
+    if (lam is None) == (shift is None):
+        raise UsageError(f"give exactly one of --lambda{suffix} or --shift{suffix}")
+    return ("hyperbolic", lam) if shift is None else ("parabolic", shift)
+
+
 def _element_from_args(args, suffix="") -> moebius.MoebiusElement:
-    alpha = getattr(args, "alpha" + suffix, None)
-    beta = getattr(args, "beta" + suffix, None)
-    lam = getattr(args, "lam" + suffix, None)
-    shift = getattr(args, "shift" + suffix, None)
+    alpha = getattr(args, "alpha" + suffix)
+    beta = getattr(args, "beta" + suffix)
     if alpha is not None or beta is not None:
         if alpha is None or beta is None:
             raise UsageError("--alpha and --beta must be given together")
-        if lam is not None or shift is not None:
+        if getattr(args, "lam" + suffix) is not None or getattr(args, "shift" + suffix) is not None:
             raise UsageError(f"--alpha/--beta exclude --lambda{suffix} and --shift{suffix}")
         return moebius.MoebiusElement(alpha, beta)
-    if lam is not None and shift is not None:
-        raise UsageError(f"give exactly one of --lambda{suffix} or --shift{suffix}")
-    if lam is not None:
-        return moebius.hyperbolic_multiplier(lam)
-    if shift is not None:
-        return moebius.parabolic_shift(shift)
-    raise UsageError(
-        f"no element{suffix or ''}: give --alpha/--beta, --lambda{suffix}, or --shift{suffix}"
+    kind, rate = _normal_form(args, suffix)
+    if kind == "hyperbolic":
+        return moebius.hyperbolic_multiplier(rate)
+    return moebius.parabolic_shift(rate)
+
+
+def _add_normal_form_flags(p, suffix=""):
+    p.add_argument(
+        "--lambda" + suffix, dest="lam" + suffix, type=_real(), default=None,
+        help="hyperbolic normal form x -> lambda x",
+    )
+    p.add_argument(
+        "--shift" + suffix, type=_real(), default=None,
+        help="parabolic normal form x -> x + shift",
     )
 
 
 def _add_element_flags(p, suffix=""):
     p.add_argument("--alpha" + suffix, type=_complex, default=None)
     p.add_argument("--beta" + suffix, type=_complex, default=None)
-    p.add_argument(
-        "--lambda" + suffix, dest="lam" + suffix, type=float, default=None,
-        help="hyperbolic normal form x -> lambda x",
-    )
-    p.add_argument(
-        "--shift" + suffix, type=float, default=None,
-        help="parabolic normal form x -> x + shift",
-    )
+    _add_normal_form_flags(p, suffix)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -198,34 +218,23 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _normal_form_choice(args) -> tuple[float | None, float | None]:
-    if (args.lam is None) == (args.shift is None):
-        raise UsageError("give exactly one of --lambda or --shift")
-    return args.lam, args.shift
-
-
 def cmd_dense(args) -> int:
-    lam, shift = _normal_form_choice(args)
+    kind, rate = _normal_form(args)
     family = chaos.TargetFamily.generate(args.levels, args.seed)
-    if shift is not None:
-        sched = chaos.make_parabolic_schedule(shift, args.levels)
-    else:
-        sched = chaos.make_schedule(lam, args.levels)
-    rows = chaos.dense_orbit_report(family, sched)
+    make = chaos.make_schedule if kind == "hyperbolic" else chaos.make_parabolic_schedule
+    rows = chaos.dense_orbit_report(family, make(rate, args.levels))
     columns = zip(*((r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows))
     _write_csv(args.out, "dense", args, ["n", "k_n", "dist", "bound", "error_bar"], columns)
     return 0 if all(r.ok for r in rows) else 2
 
 
 def cmd_periodic(args) -> int:
-    lam, shift = _normal_form_choice(args)
+    kind, rate = _normal_form(args)
     f = _load_boundary(args.boundary)
-    if shift is not None:
-        gamma = moebius.parabolic_shift(shift)
-        approx = chaos.build_parabolic_periodic(f, args.epsilon, gamma)
+    if kind == "hyperbolic":
+        approx = chaos.build_periodic_approximant(f, args.epsilon, rate)
     else:
-        gamma = moebius.hyperbolic_multiplier(lam)
-        approx = chaos.build_periodic_approximant(f, args.epsilon, gamma)
+        approx = chaos.build_parabolic_periodic(f, args.epsilon, rate)
     l1, l1_bar = approx.l1_defect()
     dist, bar = approx.metric_defect()
     _save_boundary(args.out + ".json", approx.function.boundary, _config_dict("periodic", args))
@@ -358,8 +367,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("dense", help="dense-orbit certificate rows")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
+    _add_normal_form_flags(p)
     p.add_argument("--levels", type=_count(1), default=6)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default="dense.csv")
@@ -367,16 +375,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("periodic", help="periodic approximant + defect report")
     p.add_argument("--boundary", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--shift", type=float, default=None)
+    p.add_argument("--epsilon", type=_real(), required=True)
+    _add_normal_form_flags(p)
     p.add_argument("--out", default="periodic")
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("arcflow", help="iterate an element on one arc")
     _add_element_flags(p)
     p.add_argument("--base-zeta", type=_complex, default=complex(1.0))
-    p.add_argument("--base-theta", type=float, default=math.pi)
+    p.add_argument("--base-theta", type=_real(), default=math.pi)
     p.add_argument("--steps", type=_count(0), default=50)
     p.add_argument("--out", default="arcflow.csv")
     p.set_defaults(func=cmd_arcflow)
@@ -386,7 +393,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--points", type=_count(0), default=2000)
     p.add_argument("--max-word-len", type=_count(0), default=6)
     p.add_argument("--base-zeta", type=_complex, default=complex(1.0))
-    p.add_argument("--base-theta", type=float, default=math.pi)
+    p.add_argument("--base-theta", type=_real(), default=math.pi)
     p.add_argument("--grid", type=_count(1), default=32)
     p.add_argument("--out", default="foliate")
     p.set_defaults(func=cmd_foliate)
@@ -395,14 +402,14 @@ def _build_parser() -> _Parser:
     _add_element_flags(p, "1")
     _add_element_flags(p, "2")
     p.add_argument("--boundary", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_real(0.0), default=1e-9)
     p.add_argument("--out", default="conjugate.json")
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("projective", help="cone-model invariance residuals")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=_count(1), default=500)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_real(0.0), default=1e-9)
     p.add_argument("--out", default="projective.csv")
     p.set_defaults(func=cmd_projective)
 

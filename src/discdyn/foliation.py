@@ -255,9 +255,6 @@ class ProjectivePoint:
     def cone_residual(self) -> float:
         return abs(abs(self.z1) ** 2 - abs(self.z2) ** 2 - self.t**2)
 
-    def coords(self) -> tuple[complex, complex, float]:
-        return self.z1, self.z2, self.t
-
 
 def random_projective_point(rng) -> ProjectivePoint:
     """Uniform-ish sample of the cone: pick z2 and t, set |z1| accordingly."""

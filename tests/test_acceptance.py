@@ -49,6 +49,7 @@ from discdyn import (
     projective_f,
     random_projective_point,
     relation_residual,
+    short_word_scan,
     to_half_plane,
 )
 
@@ -147,24 +148,27 @@ def test_dense_orbit_certificate():
 
 
 def test_periodic_point_certificate():
-    g = hyperbolic_multiplier(2.0)
     fam = TargetFamily.generate(10, seed=9)
     worst_slack = -math.inf
     exact = True
-    for eps in (0.3, 0.1, 0.03):
-        for f in fam.functions:
-            ap = build_periodic_approximant(f, eps, g)
-            m = ap.m_materialized
-            gk = hyperbolic_multiplier(2.0**ap.k)
-            slid = compose_with_moebius(ap.function.boundary, gk)
-            exact = exact and slid.allclose(ap.materialize_range(-m - 1, m - 1), tol=1e-9)
-            dist, bar = ap.metric_defect()
-            worst_slack = max(worst_slack, (dist + bar) - eps)
-    pin = build_periodic_approximant(fam.functions[0], 0.63, g)
+    # the slide by gamma^k must be exact for the multiplier the caller gave;
+    # near lam = 1 a multiplier read back from an element's trace drifts
+    cases = [(2.0, eps, f) for eps in (0.3, 0.1, 0.03) for f in fam.functions]
+    cases += [(1.001, eps, f) for eps in (0.3, 0.1) for f in fam.functions[:3]]
+    for lam, eps, f in cases:
+        ap = build_periodic_approximant(f, eps, lam)
+        m = ap.m_materialized
+        gk = hyperbolic_multiplier(lam**ap.k)
+        slid = compose_with_moebius(ap.function.boundary, gk)
+        exact = exact and slid.allclose(ap.materialize_range(-m - 1, m - 1), tol=1e-9)
+        dist, bar = ap.metric_defect()
+        worst_slack = max(worst_slack, (dist + bar) - eps)
+    pin = build_periodic_approximant(fam.functions[0], 0.63, 2.0)
     _verdict(
         "periodic approximant certificate",
         exact and worst_slack <= 0.0 and pin.n == 4 and pin.k == 5,
-        f"exact periodicity at representation level for eps in (0.3, 0.1, 0.03) x 10 targets; "
+        f"exact periodicity at representation level for lam = 2, eps in (0.3, 0.1, 0.03) x 10 "
+        f"targets and lam = 1.001, eps in (0.3, 0.1) x 3 targets; "
         f"worst (dist+bar)-eps = {worst_slack:.3e} (<= 0); eps=0.63 pins (n, k) = ({pin.n}, {pin.k})",
     )
 
@@ -254,6 +258,8 @@ def test_surface_group_checks():
     G = genus2_group()
     rel = relation_residual(G)
     hyp = all(classify(g) is ElementClass.HYPERBOLIC for g in G.generators)
+    # discreteness witness: no reduced word of up to 4 letters comes near 1
+    short, _ = short_word_scan(G, 4)
     base = Arc(1.0 + 0j, math.pi / 2)
     monotone = True
     finals = []
@@ -263,8 +269,9 @@ def test_surface_group_checks():
         finals.append(fr[-1])
     _verdict(
         "genus-2 surface group",
-        rel < 1e-9 and hyp and monotone,
+        rel < 1e-9 and hyp and short > 0.5 and monotone,
         f"relation residual {rel:.3e} (tol 1e-9); all generators hyperbolic; "
+        f"words of <= 4 letters stay {short:.3f} (> 0.5) from the identity; "
         f"32x32 coverage non-decreasing in word budget for seeds 1..3 "
         f"(final fractions {[f'{c:.3f}' for c in finals]})",
     )

@@ -44,15 +44,17 @@ class TestSchedules:
         assert make_parabolic_schedule(1.0, 4).ks == (1, 5, 11, 19)
 
     def test_gaps_are_minimal(self):
-        # shrinking any gap by one violates the separation inequality
-        sched = make_schedule(2.0, 4)
-        for i in range(1, len(sched.ks)):
-            ks = list(sched.ks)
-            ks[i] -= 1
-            if ks[i] <= ks[i - 1]:
-                continue
-            with pytest.raises(ValueError):
-                DenseOrbitSchedule("hyperbolic", 2.0, tuple(ks)).check()
+        # shrinking any gap by one violates the separation inequality, for
+        # multipliers and for shifts that do not divide 2n + 1
+        for sched in (make_schedule(2.0, 4), make_schedule(1.01, 5), make_parabolic_schedule(1.0, 5),
+                      make_parabolic_schedule(0.3, 5), make_parabolic_schedule(3.5, 5)):
+            for i in range(1, len(sched.ks)):
+                ks = list(sched.ks)
+                ks[i] -= 1
+                if ks[i] <= ks[i - 1]:
+                    continue
+                with pytest.raises(ValueError):
+                    DenseOrbitSchedule(sched.kind, sched.rate, tuple(ks)).check()
 
     def test_check_passes_for_built_schedules(self):
         make_schedule(2.0, 6).check()
@@ -81,6 +83,11 @@ class TestSchedules:
             make_parabolic_schedule(0.0, 3)
         with pytest.raises(NotParabolicError):
             make_parabolic_schedule(-1.0, 3)
+        # a one-level schedule has no gap to search, but its rate is checked
+        with pytest.raises(NotHyperbolicError):
+            make_schedule(0.5, 1)
+        with pytest.raises(NotParabolicError):
+            make_parabolic_schedule(0.0, 1)
 
 
 class TestTargetFamily:
@@ -255,20 +262,23 @@ class TestTranslate:
 class TestPeriodicApproximant:
     def test_frozen_small_case(self):
         f = BoundaryFunction([0.0, math.pi], [0.5, -0.5])
-        approx = build_periodic_approximant(f, 0.63, hyperbolic_multiplier(2.0))
+        approx = build_periodic_approximant(f, 0.63, 2.0)
         assert approx.n == 4
         assert approx.k == 5
 
-    def test_exact_periodicity_at_representation_level(self):
+    @pytest.mark.parametrize("lam", [2.0, 1.01, 1.001, 1.0003])
+    def test_exact_periodicity_at_representation_level(self, lam):
         # composing with gamma^k slides the translate ladder one rung; the
         # composed function equals the approximant re-materialized on the
-        # slid index range, exactly as piecewise data
+        # slid index range, exactly as piecewise data.  Near lam = 1 this
+        # holds only if the period comes from lam itself, not from a
+        # multiplier read back from a group element's trace
         from discdyn import compose_with_moebius
 
         f = BoundaryFunction([0.2, 1.5, 4.0], [0.5, -0.25, 0.75])
-        approx = build_periodic_approximant(f, 0.3, hyperbolic_multiplier(2.0))
+        approx = build_periodic_approximant(f, 0.3, lam)
         M = approx.m_materialized
-        gk = hyperbolic_multiplier(2.0**approx.k)
+        gk = hyperbolic_multiplier(lam**approx.k)
         down = compose_with_moebius(approx.function.boundary, gk)
         assert down.allclose(approx.materialize_range(-M - 1, M - 1), tol=1e-9)
         up = compose_with_moebius(approx.function.boundary, inverse(gk))
@@ -278,7 +288,7 @@ class TestPeriodicApproximant:
         from discdyn import compose_with_moebius
 
         f = BoundaryFunction([0.2, 1.5, 4.0], [0.5, -0.25, 0.75])
-        approx = build_parabolic_periodic(f, 0.3, parabolic_shift(1.0))
+        approx = build_parabolic_periodic(f, 0.3, 1.0)
         M = approx.m_materialized
         pk = parabolic_shift(float(approx.k))
         slid = compose_with_moebius(approx.function.boundary, pk)
@@ -287,7 +297,7 @@ class TestPeriodicApproximant:
     @pytest.mark.parametrize("eps", [0.3, 0.1])
     def test_certified_defects_hyperbolic(self, eps, rng):
         f = random_boundary(rng, n_pieces=4)
-        approx = build_periodic_approximant(f, eps, hyperbolic_multiplier(2.0))
+        approx = build_periodic_approximant(f, eps, 2.0)
         dist, bar = approx.metric_defect()
         assert dist + bar <= eps
         l1, l1_bar = approx.l1_defect()
@@ -295,27 +305,28 @@ class TestPeriodicApproximant:
 
     def test_certified_defects_parabolic(self, rng):
         f = random_boundary(rng, n_pieces=4)
-        approx = build_parabolic_periodic(f, 0.2, parabolic_shift(1.0))
+        approx = build_parabolic_periodic(f, 0.2, 1.0)
         dist, bar = approx.metric_defect()
         assert dist + bar <= 0.2
 
     def test_class_mismatch_rejected(self):
+        # a multiplier must exceed 1 and a shift must be positive
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         with pytest.raises(NotHyperbolicError):
-            build_periodic_approximant(f, 0.3, parabolic_shift(1.0))
+            build_periodic_approximant(f, 0.3, 0.5)
         with pytest.raises(NotParabolicError):
-            build_parabolic_periodic(f, 0.3, hyperbolic_multiplier(2.0))
+            build_parabolic_periodic(f, 0.3, -1.0)
 
     def test_absurd_epsilon_raises(self):
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         with pytest.raises(ResolutionError):
-            build_periodic_approximant(f, 1e-13, hyperbolic_multiplier(2.0))
+            build_periodic_approximant(f, 1e-13, 2.0)
 
     def test_k_strictly_beats_n_squared(self):
         # lambda^k > n^2 with the n^2 = lambda^k draw resolved upward
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         for eps in (0.63, 0.3, 0.1):
-            a = build_periodic_approximant(f, eps, hyperbolic_multiplier(2.0))
+            a = build_periodic_approximant(f, eps, 2.0)
             assert 2.0**a.k > a.n * a.n
             assert 2.0 ** (a.k - 1) <= a.n * a.n * (1 + 1e-9)
 

@@ -67,10 +67,10 @@ class TestCommands:
         assert int(row[1]) == 4 and int(row[2]) == 5
 
     def test_saved_boundary_reads_back_bit_exact(self, bdry, tmp_path):
-        from discdyn import chaos, hyperbolic_multiplier
+        from discdyn import chaos
 
         f = BoundaryFunction.from_json(bdry.read_text())
-        approx = chaos.build_periodic_approximant(f, 0.1, hyperbolic_multiplier(2.0))
+        approx = chaos.build_periodic_approximant(f, 0.1, 2.0)
         rc = main(["periodic", "--boundary", "f.json", "--epsilon", "0.1", "--lambda", "2", "--out", "per"])
         assert rc == 0
         text = (tmp_path / "per.json").read_text()
@@ -80,6 +80,16 @@ class TestCommands:
         g = BoundaryFunction.from_json(text)
         assert g.breakpoints.tolist() == approx.function.boundary.breakpoints.tolist()
         assert g.values.tolist() == approx.function.boundary.values.tolist()
+
+    @pytest.mark.parametrize("rate", [["--lambda", "1.0000001"], ["--shift", "1e-12"]])
+    def test_periodic_rates_near_the_identity_certify(self, bdry, tmp_path, rate):
+        # the period exponent comes from the flag's rate (k near 4.4e7 and
+        # 1e13 here), not from an element classified by its trace
+        argv = ["periodic", "--boundary", "f.json", "--epsilon", "0.3", *rate, "--out", "per"]
+        assert main(argv) == 0
+        (row,) = _data_rows(tmp_path / "per.csv")
+        *_, metric_defect, metric_bar = map(float, row.split(","))
+        assert metric_defect + metric_bar <= 0.3
 
     @pytest.mark.parametrize("lam, levels", [("10", "10"), ("3", "14")])
     def test_deep_dense_orbits_certify(self, bdry, tmp_path, lam, levels):
@@ -174,7 +184,13 @@ class TestFoliate:
            ["projective", "--samples", "0"],
            ["orbit", "--boundary", "f.json", "--lambda", "2", "--steps", "-1"],
            ["arcflow", "--shift", "1", "--steps", "-1"],
-           ["limit", "--boundary", "f.json", "--lambda", "2", "--nmax", "-1"]],
+           ["limit", "--boundary", "f.json", "--lambda", "2", "--nmax", "-1"]]
+        # every float flag is finite, and a tolerance is not negative
+        + [["projective", "--samples", "5", "--tol", "nan"],
+           ["conjugate", "--lambda1", "2", "--lambda2", "4", "--tol", "-1"],
+           ["periodic", "--boundary", "f.json", "--lambda", "2", "--epsilon", "nan"],
+           ["dense", "--lambda", "nan", "--levels", "2"],
+           ["periodic", "--boundary", "f.json", "--shift", "inf", "--epsilon", "0.3"]],
     )
     def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
         assert main([*flags, "--out", "bad"]) == 1

@@ -291,12 +291,12 @@ class TestProjectiveModel:
     def test_normalization_collapses_scale(self, rng):
         p = random_projective_point(rng)
         q = ProjectivePoint(3 * p.z1, 3 * p.z2, 3 * p.t)
-        assert np.allclose(p.coords(), q.coords())
+        assert np.allclose((p.z1, p.z2, p.t), (q.z1, q.z2, q.t))
 
     def test_sign_canonicalization(self, rng):
         p = random_projective_point(rng)
         q = ProjectivePoint(-p.z1, -p.z2, -p.t)
-        assert np.allclose(p.coords(), q.coords())
+        assert np.allclose((p.z1, p.z2, p.t), (q.z1, q.z2, q.t))
 
     def test_action_preserves_cone(self, rng):
         p = random_projective_point(rng)
@@ -309,7 +309,7 @@ class TestProjectiveModel:
 
         p = random_projective_point(rng)
         q = projective_act(identity(), p)
-        assert np.allclose(p.coords(), q.coords())
+        assert np.allclose((p.z1, p.z2, p.t), (q.z1, q.z2, q.t))
 
     def test_random_points_on_cone(self, rng):
         for _ in range(50):
