@@ -463,12 +463,14 @@ def _assemble_periodic(f, epsilon, kind, rate) -> PeriodicApproximant:
     n = _pick_n(epsilon, kind)
     k = _least_exponent(kind, rate, n * n if kind == "hyperbolic" else 2 * n)
     len_floor = 1e-9 if kind == "hyperbolic" else min(0.02, epsilon / 12.0)
+    # the arcs take rate^((m_cap + 1) k), kept below 2^960 and so a double
+    m_top = 4000 if kind == "parabolic" else min(4000, int(960 / (k * math.log2(rate))) - 1)
+    if m_top < 1:
+        raise ResolutionError(f"multiplier {rate} too large for double-precision translates")
     m_cap = 1
     while True:
         arcs, tail_len = _unrep_arcs_periodic(kind, rate, n, k, m_cap)
-        if tail_len <= len_floor or m_cap >= 4000:
-            break
-        if kind == "hyperbolic" and (m_cap + 2) * k * math.log2(rate) > 960:
+        if tail_len <= len_floor or m_cap >= m_top:
             break
         m_cap += 1
     mat = _translate_terms(f, kind, rate, n, k, -m_cap, m_cap)

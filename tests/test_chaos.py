@@ -88,6 +88,9 @@ class TestSchedules:
             make_schedule(0.5, 1)
         with pytest.raises(NotParabolicError):
             make_parabolic_schedule(0.0, 1)
+        # gaps past 2^52 cannot be stepped exactly as doubles
+        with pytest.raises(ResolutionError):
+            make_parabolic_schedule(1e-17, 3)
 
 
 class TestTargetFamily:
