@@ -191,7 +191,7 @@ class TestFoliate:
            ["periodic", "--boundary", "f.json", "--lambda", "2", "--epsilon", "nan"],
            ["dense", "--lambda", "nan", "--levels", "2"],
            ["periodic", "--boundary", "f.json", "--shift", "inf", "--epsilon", "0.3"],
-           # lam^2 overflows a double: reported, not a traceback
+           # lam^2 = 1e400 overflows a double: reported, not a traceback
            ["periodic", "--boundary", "f.json", "--lambda", "1e200", "--epsilon", "0.3"]],
     )
     def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
