@@ -67,7 +67,6 @@ from .moebius import (
     InvalidMatrixError,
     MoebiusElement,
     act_disc,
-    act_line,
     classify,
     compose,
     fixed_points_line,

@@ -16,7 +16,9 @@ that number, never from an element read back.
 
 Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
-f -> f o h and intertwines the two translation actions.
+f -> f o h and intertwines the two translation actions.  h is the normal-form
+map between two normalizers, so the transport acts on the breakpoint array:
+twice through `compose_with_moebius`, once by a power or scale on the line.
 
 Windows are arrays (lo, hi, value) in the line coordinate x = tan(s/2), each
 target's pieces computed once; a translate term moves them by an exact scale
@@ -113,8 +115,6 @@ class DenseOrbitSchedule:
             if self.kind == "hyperbolic":
                 if not n * (n + 1) < self.rate**gap:
                     raise ValueError(f"n(n+1) < rate^gap fails at n = {n}")
-                if not self.b(n + 1) < self.a(n):
-                    raise ValueError(f"window disjointness fails at n = {n}")
             else:
                 if not self.rate * gap > 2 * n + 1:
                     raise ValueError(f"rate*gap > 2n+1 fails at n = {n}")
@@ -393,8 +393,6 @@ def _off_window(n: int, kind: str) -> float:
 def _pick_n(epsilon: float, kind: str) -> int:
     """Minimal n with arclength(B_n^c) <= epsilon*pi."""
     coeff = _off_window(1, kind) / math.atan(1.0)  # 8 or 4, exactly
-    if epsilon <= 0.0:
-        raise ResolutionError("epsilon must be positive")
     if coeff / (epsilon * math.pi) > 1e12:
         raise ResolutionError("epsilon too small for double-precision windows")
     # atan(1/n) ~ 1/n, so start a few steps below the asymptotic answer and
@@ -498,7 +496,7 @@ def _hyperbolic_normalizer(g: MoebiusElement) -> MoebiusElement:
     d = moebius.hyperbolic_multiplier(moebius.multiplier(g))
     check = moebius.compose(moebius.compose(c, d), moebius.inverse(c))
     if check.distance_to(g) > 1e-9:
-        raise RuntimeError("normalizer construction failed to reproduce the element")
+        raise ResolutionError("normalizer construction failed to reproduce the element")
     return c
 
 
@@ -509,10 +507,10 @@ def _parabolic_normalizer(g: MoebiusElement) -> tuple[MoebiusElement, float]:
         c = moebius.identity()
     else:
         c = moebius.from_half_plane(moebius.HalfPlaneMatrix(p, -1.0, 1.0, 0.0))
-    nrm = moebius.compose(moebius.compose(moebius.inverse(c), g), c)
-    a = moebius.act_line(nrm, 0.0)
-    if abs(moebius.act_line(nrm, 1.0) - (1.0 + a)) > 1e-9:
-        raise RuntimeError("normalizer construction failed to straighten the shift")
+    m = moebius.to_half_plane(moebius.compose(moebius.compose(moebius.inverse(c), g), c))
+    a = m.b / m.d  # the straightened element takes 0 to b/d and 1 to (a+b)/(c+d)
+    if abs((m.a + m.b) / (m.c + m.d) - (1.0 + a)) > 1e-9:
+        raise ResolutionError("normalizer construction failed to straighten the shift")
     return c, a
 
 
@@ -527,44 +525,24 @@ class Conjugacy:
     c2: MoebiusElement
     exponent: float  # log lam1 / log lam2, or shift ratio a1/a2
 
-    def _hn(self, x: float) -> float:
-        if self.kind == "hyperbolic":
-            if math.isinf(x):
-                return math.inf
-            return math.copysign(abs(x) ** self.exponent, x) if x != 0.0 else 0.0
-        return x if math.isinf(x) else self.exponent * x
-
-    def _hn_inv(self, x: float) -> float:
-        if self.kind == "hyperbolic":
-            if math.isinf(x):
-                return math.inf
-            return math.copysign(abs(x) ** (1.0 / self.exponent), x) if x != 0.0 else 0.0
-        return x if math.isinf(x) else x / self.exponent
-
-    def h_line(self, x: float) -> float:
-        return moebius.act_line(self.c1, self._hn(moebius.act_line(moebius.inverse(self.c2), x)))
-
-    def h_inv_line(self, x: float) -> float:
-        return moebius.act_line(self.c2, self._hn_inv(moebius.act_line(moebius.inverse(self.c1), x)))
-
     def transport(self, f: BoundaryFunction) -> BoundaryFunction:
-        """Boundary data f o h; breakpoints pull back through h^{-1}."""
-        if f.breakpoints.size == 0:
-            return BoundaryFunction.constant(complex(f.values[0]))
-        new = np.array(
-            [
-                line_to_angle(self.h_inv_line(angle_to_line(float(s))))
-                for s in f.breakpoints
-            ]
-        )
-        br = np.sort(np.mod(new, TWO_PI))
-        widths = np.diff(br, append=br[0] + TWO_PI)
-        mids = br + 0.5 * widths
-        vals = [
-            f.evaluate(line_to_angle(self.h_line(angle_to_line(float(t)))))
-            for t in mids
-        ]
-        return BoundaryFunction(br, vals)
+        """Boundary data f o h for h = c1 o H o c2^-1, H the normal-form map
+        x -> sign(x)|x|^exponent or exponent*x: every breakpoint pulls back
+        through h^-1 at once, by c1^-1 and c2 through `compose_with_moebius`
+        and by H^-1 in the line coordinate."""
+        g = compose_with_moebius(f, self.c1)
+        if g.breakpoints.size == 0:
+            return g
+        x = angle_to_line(g.breakpoints)
+        with np.errstate(over="ignore"):  # +-inf is the point at infinity, angle pi
+            if self.kind == "hyperbolic":
+                x = np.copysign(np.abs(x) ** (1.0 / self.exponent), x)
+            else:
+                x = x / self.exponent
+        # when H reverses orientation, the piece below a cut lands above its image
+        vals = g.values if self.exponent > 0.0 else np.roll(g.values, 1)
+        pulled = BoundaryFunction(line_to_angle(x), vals)
+        return compose_with_moebius(pulled, moebius.inverse(self.c2))
 
     def intertwine_residual(
         self, f: BoundaryFunction, ex: CompactExhaustion | None = None

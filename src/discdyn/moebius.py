@@ -7,8 +7,8 @@ compactified real line through the Cayley transform; `to_half_plane` /
 x -> (a*x + b)/(c*x + d).
 
 The point at infinity of the compactified line is represented by math.inf
-(+inf and -inf both name the single compactification point; every function
-here branches on isinf explicitly and returns the canonical +inf).
+(+inf and -inf both name the single compactification point; a fixed point
+there is returned as the canonical +inf).
 """
 
 from __future__ import annotations
@@ -154,21 +154,6 @@ def from_half_plane(m: HalfPlaneMatrix) -> MoebiusElement:
         complex(0.5 * (m.a + m.d), 0.5 * (m.b - m.c)),
         complex(0.5 * (-m.a + m.d), 0.5 * (m.b + m.c)),
     )
-
-
-def act_line(g: MoebiusElement, x: float) -> float:
-    """Action on the compactified real line; inf is the single point at infinity."""
-    m = to_half_plane(g)
-    return _apply_half_plane(m, x)
-
-
-def _apply_half_plane(m: HalfPlaneMatrix, x: float) -> float:
-    if math.isinf(x):
-        return m.a / m.c if m.c != 0.0 else INF
-    den = m.c * x + m.d
-    if den == 0.0:
-        return INF
-    return (m.a * x + m.b) / den
 
 
 def classify(g: MoebiusElement, tol: float = _CLASS_TOL) -> ElementClass:

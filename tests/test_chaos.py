@@ -13,11 +13,12 @@ from discdyn import (
     NotParabolicError,
     ResolutionError,
     TargetFamily,
-    act_line,
+    angle_to_line,
     build_dense_seed,
     build_parabolic_periodic,
     build_periodic_approximant,
     compose,
+    compose_with_moebius,
     conjugating_map,
     dense_orbit_report,
     hyperbolic_multiplier,
@@ -334,6 +335,22 @@ class TestPeriodicApproximant:
             assert 2.0 ** (a.k - 1) <= a.n * a.n * (1 + 1e-9)
 
 
+def _cuts_at(xs):
+    """Boundary data with a cut at each line coordinate in xs, each piece its own value."""
+    return BoundaryFunction(line_to_angle(xs), np.exp(1j * np.arange(len(xs))))
+
+
+def _intertwining_gap(cj, f):
+    """Largest distance between the cuts of (f o gamma1^-1) o h and of
+    (f o h) o gamma2^-1, which agree when h o gamma2 = gamma1 o h; the two
+    must also agree as data."""
+    lhs = cj.transport(compose_with_moebius(f, inverse(cj.gamma1)))
+    rhs = compose_with_moebius(cj.transport(f), inverse(cj.gamma2))
+    assert lhs.breakpoints.size == rhs.breakpoints.size and lhs.allclose(rhs)
+    d = np.abs(lhs.breakpoints[:, None] - rhs.breakpoints[None, :])
+    return float(np.minimum(d, TWO_PI - d).min(axis=1).max())
+
+
 class TestConjugacy:
     def test_normal_form_exponent(self):
         cj = conjugating_map(hyperbolic_multiplier(2.0), hyperbolic_multiplier(4.0))
@@ -347,25 +364,35 @@ class TestConjugacy:
             g1 = compose(compose(c1, hyperbolic_multiplier(math.exp(rng.uniform(0.2, 1.2)))), inverse(c1))
             g2 = compose(compose(c2, hyperbolic_multiplier(math.exp(rng.uniform(0.2, 1.2)))), inverse(c2))
             cj = conjugating_map(g1, g2)
-            for _ in range(8):
-                x = math.tan(rng.uniform(-1.5, 1.5))
-                lhs = cj.h_line(act_line(g2, x))
-                rhs = act_line(g1, cj.h_line(x))
-                worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+            f = _cuts_at(np.tan(rng.uniform(-1.5, 1.5, 8)))
+            worst = max(worst, _intertwining_gap(cj, f))
         assert worst < 1e-9
 
     def test_parabolic_pair_intertwines(self, rng):
         cj = conjugating_map(parabolic_shift(1.0), parabolic_shift(2.5))
         assert cj.kind == "parabolic"
-        for _ in range(50):
-            x = math.tan(rng.uniform(-1.5, 1.5))
-            assert abs(cj.h_line(act_line(parabolic_shift(2.5), x)) - act_line(parabolic_shift(1.0), cj.h_line(x))) < 1e-9
+        assert _intertwining_gap(cj, _cuts_at(np.tan(rng.uniform(-1.5, 1.5, 50)))) < 1e-9
 
     def test_h_inverts(self, rng):
-        cj = conjugating_map(hyperbolic_multiplier(2.0), hyperbolic_multiplier(4.0))
-        for _ in range(30):
-            x = math.tan(rng.uniform(-1.5, 1.5))
-            assert abs(cj.h_inv_line(cj.h_line(x)) - x) < 1e-9 * (1 + abs(x))
+        g1, g2 = hyperbolic_multiplier(2.0), hyperbolic_multiplier(4.0)
+        f = _cuts_at(np.tan(rng.uniform(-1.5, 1.5, 30)))
+        assert conjugating_map(g2, g1).transport(conjugating_map(g1, g2).transport(f)).allclose(f)
+
+    @pytest.mark.parametrize("a1, a2", [(1.0, -2.0), (-1.0, 2.5)])
+    def test_orientation_reversing_pairs(self, rng, a1, a2):
+        # shifts of opposite signs: h reverses orientation
+        cj = conjugating_map(parabolic_shift(a1), parabolic_shift(a2))
+        assert cj.exponent < 0.0
+        for _ in range(3):
+            f = random_boundary(rng, n_pieces=16)
+            res, bar = cj.intertwine_residual(f)
+            assert res <= 1e-9 + bar
+            assert _intertwining_gap(cj, f) < 1e-9
+            # both are normal forms, so h is x -> (a1/a2) x on the line: f o h
+            # read at every piece's midpoint
+            t = cj.transport(f)
+            mids = t.breakpoints + 0.5 * t.piece_widths()
+            assert np.array_equal(t.evaluate(mids), f.evaluate(line_to_angle(cj.exponent * angle_to_line(mids))))
 
     def test_transport_intertwining_residual(self, rng):
         cj = conjugating_map(hyperbolic_multiplier(2.0), hyperbolic_multiplier(4.0))

@@ -91,10 +91,11 @@ class TestCommands:
         *_, metric_defect, metric_bar = map(float, row.split(","))
         assert metric_defect + metric_bar <= 0.3
 
-    @pytest.mark.parametrize("lam, levels", [("10", "10"), ("3", "14")])
+    @pytest.mark.parametrize("lam, levels", [("10", "10"), ("3", "14"), ("1e200", "3")])
     def test_deep_dense_orbits_certify(self, bdry, tmp_path, lam, levels):
         # lam^k_n passes 1e16 here: the translates are built in line
-        # coordinates, never as a group element
+        # coordinates, never as a group element (at 1e200 the window ends
+        # lam^-k_n underflow from level 3, so the schedule checks gaps only)
         assert main(["dense", "--lambda", lam, "--levels", levels]) == 0
         rows = [[float(c) for c in r.split(",")] for r in _data_rows(tmp_path / "dense.csv")]
         assert len(rows) == int(levels)
@@ -131,6 +132,13 @@ class TestCommands:
         doc = json.loads((tmp_path / "cj.json").read_text())
         assert doc["kind"] == "hyperbolic"
         assert abs(doc["exponent"] - 0.5) < 1e-12
+
+    def test_conjugate_power_map_overflow_is_infinity(self, bdry, tmp_path):
+        # h^-1 raises |x| to 1/exponent, about 7e4 here, which overflows past
+        # |x| = 1.01: those cuts go to the point at infinity, without a warning
+        assert main(["conjugate", "--lambda1", "1.0001", "--lambda2", "1e3", "--boundary", "f.json"]) == 0
+        doc = json.loads((tmp_path / "conjugate.json").read_text())
+        assert doc["intertwine_residual"] <= 1e-9 + doc["residual_bar"]
 
     def test_projective_pass(self, bdry, tmp_path):
         rc = main(["projective", "--samples", "100", "--out", "pj.csv"])
@@ -192,12 +200,18 @@ class TestFoliate:
            ["dense", "--lambda", "nan", "--levels", "2"],
            ["periodic", "--boundary", "f.json", "--shift", "inf", "--epsilon", "0.3"],
            # lam^2 = 1e400 overflows a double: reported, not a traceback
-           ["periodic", "--boundary", "f.json", "--lambda", "1e200", "--epsilon", "0.3"]],
+           ["periodic", "--boundary", "f.json", "--lambda", "1e200", "--epsilon", "0.3"],
+           # elements whose normal form double precision cannot reproduce
+           ["conjugate", "--alpha1", "(1+0.014736396890952236j)",
+            "--beta1", "(-2.3905587909210686e-05+0.014736377500944415j)", "--shift2", "1"],
+           ["conjugate", "--alpha1", "(1.0000000006517336+0.009100889922343883j)",
+            "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"]],
     )
     def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
         assert main([*flags, "--out", "bad"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(("usage error: ", "error: ")) and "Traceback" not in err
+        assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
 
 

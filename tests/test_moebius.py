@@ -12,7 +12,6 @@ from discdyn import (
     InvalidMatrixError,
     MoebiusElement,
     act_disc,
-    act_line,
     classify,
     compose,
     fixed_points_line,
@@ -96,13 +95,6 @@ class TestAction:
         z = 0.3 - 0.4j
         assert abs(act_disc(rotation(1.1), z) - z * cmath.exp(1.1j)) < 1e-15
 
-    def test_line_action_real(self, rng):
-        for _ in range(50):
-            g = random_element(rng)
-            x = math.tan(rng.uniform(-1.5, 1.5))
-            y = act_line(g, x)
-            assert isinstance(y, float)
-
 
 class TestClassification:
     def test_normal_forms(self):
@@ -167,10 +159,11 @@ class TestFixedPoints:
             g = compose(compose(c, hyperbolic_multiplier(math.exp(rng.uniform(0.1, 1.0)))), inverse(c))
             e, con = fixed_points_line(g)
             for fp, expanding in ((e, True), (con, False)):
-                if math.isinf(fp):
-                    continue
-                assert abs(act_line(g, fp) - fp) < 1e-9 * (1 + abs(fp))
-                d = abs(act_line(g, fp + h) - act_line(g, fp - h)) / (2 * h)
+                # on the circle, at angle s = 2 atan(fp); infinity is angle pi
+                s = 2.0 * math.atan(fp)
+                assert abs(act_disc(g, cmath.exp(1j * s)) - cmath.exp(1j * s)) < 1e-9
+                ratio = act_disc(g, cmath.exp(1j * (s + h))) / act_disc(g, cmath.exp(1j * (s - h)))
+                d = abs(cmath.phase(ratio)) / (2 * h)
                 assert (d > 1.0) == expanding
 
     def test_parabolic_single_point(self):
