@@ -525,23 +525,32 @@ class Conjugacy:
     c2: MoebiusElement
     exponent: float  # log lam1 / log lam2, or shift ratio a1/a2
 
+    def _normal_form(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """H(x) = sign(x)|x|^exponent or exponent*x on line coordinates, or
+        H^-1; overflow to +-inf is the point at infinity, angle pi."""
+        with np.errstate(over="ignore"):
+            if self.kind == "hyperbolic":
+                return np.copysign(np.abs(x) ** (1.0 / self.exponent if inverse else self.exponent), x)
+            return x / self.exponent if inverse else self.exponent * x
+
     def transport(self, f: BoundaryFunction) -> BoundaryFunction:
-        """Boundary data f o h for h = c1 o H o c2^-1, H the normal-form map
-        x -> sign(x)|x|^exponent or exponent*x: every breakpoint pulls back
-        through h^-1 at once, by c1^-1 and c2 through `compose_with_moebius`
-        and by H^-1 in the line coordinate."""
+        """Boundary data f o h for h = c1 o H o c2^-1: every breakpoint pulls
+        back through h^-1 at once, by c1^-1 and c2 through `compose_with_moebius`
+        and by H^-1 in the line coordinate.  Each piece of f o c1 keeps its
+        value on its pulled image; a piece that H^-1 squeezes to a point (an
+        underflow to 0 or overflow to infinity) drops out with its cut."""
         g = compose_with_moebius(f, self.c1)
         if g.breakpoints.size == 0:
             return g
-        x = angle_to_line(g.breakpoints)
-        with np.errstate(over="ignore"):  # +-inf is the point at infinity, angle pi
-            if self.kind == "hyperbolic":
-                x = np.copysign(np.abs(x) ** (1.0 / self.exponent), x)
-            else:
-                x = x / self.exponent
-        # when H reverses orientation, the piece below a cut lands above its image
-        vals = g.values if self.exponent > 0.0 else np.roll(g.values, 1)
-        pulled = BoundaryFunction(line_to_angle(x), vals)
+        p = line_to_angle(self._normal_form(angle_to_line(g.breakpoints), inverse=True))
+        q = np.roll(p, -1)  # pulled end of each piece
+        live = p != q
+        if not live.any():  # one piece covers all but the common cut: read it opposite
+            x = self._normal_form(angle_to_line(p[0] + math.pi))
+            return BoundaryFunction.constant(g.evaluate(line_to_angle(x)))
+        # when H reverses orientation, piece [s_i, s_i+1) pulls back to (q_i, p_i]
+        start = p if self.exponent > 0.0 else q
+        pulled = BoundaryFunction(start[live], g.values[live])
         return compose_with_moebius(pulled, moebius.inverse(self.c2))
 
     def intertwine_residual(
