@@ -3,7 +3,10 @@
 Functions are stored as sorted breakpoints in [0, 2pi) with one complex value
 per piece, right-continuous on [s_i, s_{i+1}) and cyclic across 2pi.  Values
 live in the closed unit disc for all public constructors; raw differences
-(used by the metric code) may exceed that bound.
+(used by the metric code) may exceed that bound.  Under a circle map h, f o h
+gives each piece's value to the arc between its two cuts pulled through h^-1;
+a piece whose ends round onto one angle drops out with its cut (`_pull_back`,
+behind both `compose_with_moebius` and the conjugacy transport).
 
 The circle doubles as the compactified real line through z = eta^{-1}(x),
 eta(z) = i(1-z)/(1+z); in angle coordinates s(x) = 2*atan(x) mod 2pi.  The
@@ -36,19 +39,27 @@ def _dedup_mask(br: np.ndarray) -> np.ndarray:
     cyclically, the upper one survives.  The sliver piece between them goes
     with its value; the piece below keeps its value up to the surviving cut."""
     keep = np.ones(br.size, dtype=bool)
-    keep[:-1] = np.diff(br) >= DEDUP
+    keep[:-1] = br[1:] - br[:-1] >= DEDUP  # np.diff(br), without its overhead
     if br.size > 1 and (br[0] + TWO_PI - br[-1]) < DEDUP and keep.sum() > 1:
         keep[-1] = False
     return keep
+
+
+def _pieces(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, deduplicated cuts ([0.0] if there are none) and piece midpoints."""
+    br = np.unique(cuts)
+    br = br[_dedup_mask(br)] if br.size else np.zeros(1)
+    return br, br + 0.5 * np.diff(br, append=br[0] + TWO_PI)
 
 
 def wrap_angle(s):
     """Reduce angles to [0, 2pi)."""
     out = np.mod(s, TWO_PI)
     # mod can return 2pi itself for tiny negative inputs
-    return np.where(out >= TWO_PI, out - TWO_PI, out) if np.ndim(out) else (
-        out - TWO_PI if out >= TWO_PI else out
-    )
+    if np.ndim(out):
+        out[out >= TWO_PI] = 0.0
+        return out
+    return out - TWO_PI if out >= TWO_PI else out
 
 
 @dataclass(frozen=True)
@@ -229,11 +240,7 @@ def merge_partition(f: BoundaryFunction, h: BoundaryFunction):
 
     Values are read at piece midpoints, so they do not depend on which of two
     near-equal cuts the dedup keeps."""
-    br = np.union1d(f.breakpoints, h.breakpoints)
-    br = br[_dedup_mask(br)]
-    if br.size == 0:
-        br = np.array([0.0])
-    mids = br + 0.5 * np.diff(br, append=br[0] + TWO_PI)
+    br, mids = _pieces(np.concatenate((f.breakpoints, h.breakpoints)))
     return br, f.evaluate(mids), h.evaluate(mids)
 
 
@@ -248,15 +255,33 @@ def indicator(arc: Arc) -> BoundaryFunction:
     return BoundaryFunction([a, b], [1.0, 0.0])
 
 
-def compose_with_moebius(f: BoundaryFunction, g: MoebiusElement) -> BoundaryFunction:
-    """f o g on the circle: breakpoints move to g^{-1}(old), values follow."""
+def _moebius_angles(g: MoebiusElement, s: np.ndarray) -> np.ndarray:
+    """Angles in [0, 2pi) of g(e^{is}), g acting on the circle."""
+    z = np.exp(1j * s)
+    return wrap_angle(np.angle((g.alpha * z + g.beta) / (np.conj(g.beta) * z + np.conj(g.alpha))))
+
+
+def _pull_back(f: BoundaryFunction, h, h_inv, reverses: bool = False) -> BoundaryFunction:
+    """f o h for a circle homeomorphism h, given with h^-1 as maps of angle arrays.
+    When h reverses orientation a piece starts at the pulled end of the next;
+    when every piece collapses, one cut stays, valued f o h opposite it."""
     if f.breakpoints.size == 0:
         return BoundaryFunction.constant(complex(f.values[0]))
+    p = h_inv(f.breakpoints)
+    q = np.concatenate((p[1:], p[:1]))  # pulled end of each piece
+    start, live = (q if reverses else p), p != q
+    n_live = np.count_nonzero(live)
+    if n_live == p.size:  # no piece collapses
+        return BoundaryFunction(start, f.values)
+    if n_live == 0:
+        return BoundaryFunction(p[:1], f.evaluate(h(p[:1] + math.pi)))
+    return BoundaryFunction(start[live], f.values[live])
+
+
+def compose_with_moebius(f: BoundaryFunction, g: MoebiusElement) -> BoundaryFunction:
+    """f o g on the circle: breakpoints move to g^{-1}(old), values ride on pieces."""
     ginv = moebius.inverse(g)
-    zs = np.exp(1j * f.breakpoints)
-    a, b = ginv.alpha, ginv.beta
-    imgs = (a * zs + b) / (np.conj(b) * zs + np.conj(a))
-    return BoundaryFunction(np.mod(np.angle(imgs), TWO_PI), f.values)
+    return _pull_back(f, lambda s: _moebius_angles(g, s), lambda s: _moebius_angles(ginv, s))
 
 
 def l1_norm(f: BoundaryFunction) -> float:
@@ -328,9 +353,7 @@ def from_line_segments(lo, hi, values) -> BoundaryFunction:
         return BoundaryFunction.constant(0.0)
     if w[0] >= TWO_PI:  # the only arc, or the check above raised
         return BoundaryFunction.constant(vals[0])
-    br = np.unique(np.concatenate((a, b)))
-    br = br[_dedup_mask(br)]
-    mids = br + 0.5 * np.diff(br, append=br[0] + TWO_PI)
+    br, mids = _pieces(np.concatenate((a, b)))
     a, w, vals = a[order], w[order], vals[order]
     # the arc starting last before each midpoint, cyclically, is the only
     # one that can hold it

@@ -17,8 +17,8 @@ that number, never from an element read back.
 Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
 f -> f o h and intertwines the two translation actions.  h is the normal-form
-map between two normalizers, so the transport acts on the breakpoint array:
-twice through `compose_with_moebius`, once by a power or scale on the line.
+map between two normalizers, and the transport is one pull-back of the
+breakpoint array through h^-1, by the rule `compose_with_moebius` follows.
 
 Windows are arrays (lo, hi, value) in the line coordinate x = tan(s/2), each
 target's pieces computed once; a translate term moves them by an exact scale
@@ -45,13 +45,15 @@ from .boundary import (
     Arc,
     BoundaryFunction,
     _line_arcs,
+    _moebius_angles,
+    _pull_back,
     angle_to_line,
     compose_with_moebius,
     from_line_segments,
     l1_distance,
     line_to_angle,
 )
-from .moebius import ElementClass, MoebiusElement
+from .moebius import ElementClass, MoebiusElement, ResolutionError
 from .poisson import CompactExhaustion, HarmonicFunction, metric_distance
 
 
@@ -60,10 +62,6 @@ class NotHyperbolicError(ValueError):
 
 
 class NotParabolicError(ValueError):
-    pass
-
-
-class ResolutionError(ValueError):
     pass
 
 
@@ -525,33 +523,28 @@ class Conjugacy:
     c2: MoebiusElement
     exponent: float  # log lam1 / log lam2, or shift ratio a1/a2
 
-    def _normal_form(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """H(x) = sign(x)|x|^exponent or exponent*x on line coordinates, or
-        H^-1; overflow to +-inf is the point at infinity, angle pi."""
-        with np.errstate(over="ignore"):
-            if self.kind == "hyperbolic":
-                return np.copysign(np.abs(x) ** (1.0 / self.exponent if inverse else self.exponent), x)
-            return x / self.exponent if inverse else self.exponent * x
-
     def transport(self, f: BoundaryFunction) -> BoundaryFunction:
-        """Boundary data f o h for h = c1 o H o c2^-1: every breakpoint pulls
-        back through h^-1 at once, by c1^-1 and c2 through `compose_with_moebius`
-        and by H^-1 in the line coordinate.  Each piece of f o c1 keeps its
-        value on its pulled image; a piece that H^-1 squeezes to a point (an
-        underflow to 0 or overflow to infinity) drops out with its cut."""
-        g = compose_with_moebius(f, self.c1)
-        if g.breakpoints.size == 0:
-            return g
-        p = line_to_angle(self._normal_form(angle_to_line(g.breakpoints), inverse=True))
-        q = np.roll(p, -1)  # pulled end of each piece
-        live = p != q
-        if not live.any():  # one piece covers all but the common cut: read it opposite
-            x = self._normal_form(angle_to_line(p[0] + math.pi))
-            return BoundaryFunction.constant(g.evaluate(line_to_angle(x)))
-        # when H reverses orientation, piece [s_i, s_i+1) pulls back to (q_i, p_i]
-        start = p if self.exponent > 0.0 else q
-        pulled = BoundaryFunction(start[live], g.values[live])
-        return compose_with_moebius(pulled, moebius.inverse(self.c2))
+        """f o h for h = c1 o H o c2^-1, one `_pull_back` through h^-1 = c2 o H^-1 o c1^-1;
+        H(x) = sign(x)|x|^exponent or exponent*x on the line, where +-inf is angle pi."""
+        rho, inv = self.exponent, moebius.inverse
+        if self.kind == "hyperbolic":
+            H = lambda x: np.copysign(np.abs(x) ** rho, x)
+            H_inv = lambda x: np.copysign(np.abs(x) ** (1.0 / rho), x)
+        else:
+            H, H_inv = (lambda x: rho * x), (lambda x: x / rho)
+
+        def through(a, line_map, b):  # b^-1 o line_map o a^-1, as compose_with_moebius moves cuts
+            a, b = inv(a), inv(b)
+
+            def h(s):
+                with np.errstate(over="ignore"):
+                    x = line_map(angle_to_line(_moebius_angles(a, s)))
+                return _moebius_angles(b, line_to_angle(x))
+
+            return h
+
+        h = through(self.c2, H, inv(self.c1))
+        return _pull_back(f, h, through(self.c1, H_inv, inv(self.c2)), reverses=rho < 0.0)
 
     def intertwine_residual(
         self, f: BoundaryFunction, ex: CompactExhaustion | None = None

@@ -428,8 +428,12 @@ def _argv_from_config(path) -> list[str]:
         data = json.load(fh)
     if not isinstance(data, dict) or "command" not in data:
         raise UsageError("config file must be a JSON object with a 'command' key")
+    params = data.get("params", {})
+    if set(data) - {"command", "params"} or not isinstance(params, dict):
+        keys = ", ".join(map(str, data))
+        raise UsageError(f"config file takes 'command' and a 'params' object of flags, got: {keys}")
     argv = [str(data["command"])]
-    for k, v in data.get("params", {}).items():
+    for k, v in params.items():
         flag = "--" + str(k).replace("_", "-")
         if isinstance(v, bool):
             if v:

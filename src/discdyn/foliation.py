@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from . import moebius
-from .arcspace import Arc, act_arc, act_arcs  # noqa: F401  (act_arc is re-exported)
+from .arcspace import Arc, act_arc, act_arcs  # noqa: F401  (perfbench wraps foliation.act_arc)
 from .boundary import TWO_PI, check_arcs
 from .moebius import MoebiusElement
 

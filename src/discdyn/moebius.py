@@ -29,6 +29,10 @@ class InvalidMatrixError(ValueError):
     pass
 
 
+class ResolutionError(ValueError):
+    """A valid input beyond what double precision can resolve."""
+
+
 class ElementClass(enum.Enum):
     IDENTITY = "identity"
     ELLIPTIC = "elliptic"
@@ -117,12 +121,20 @@ def hyperbolic_multiplier(lam: float) -> MoebiusElement:
     if not lam > 0.0:
         raise InvalidMatrixError("multiplier must be positive")
     u = 0.5 * math.log(lam)
-    return MoebiusElement(complex(math.cosh(u)), complex(-math.sinh(u)))
+    return _resolved(complex(math.cosh(u)), complex(-math.sinh(u)), f"multiplier {lam}")
 
 
 def parabolic_shift(a: float) -> MoebiusElement:
     """The element acting on the line as x -> x + a (fixes z=-1 only)."""
-    return MoebiusElement(1.0 + 0.5j * a, 0.5j * a)
+    return _resolved(1.0 + 0.5j * a, 0.5j * a, f"shift {a}")
+
+
+def _resolved(alpha: complex, beta: complex, rate: str) -> MoebiusElement:
+    # a multiplier past about 1e16 or a shift past 1e8 cancels |alpha|^2 - |beta|^2 to 0
+    try:
+        return MoebiusElement(alpha, beta)
+    except InvalidMatrixError:
+        raise ResolutionError(f"{rate} is beyond double resolution as an element") from None
 
 
 def compose(g: MoebiusElement, h: MoebiusElement) -> MoebiusElement:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from discdyn import (
     hyperbolic_multiplier,
     identity,
     indicator,
+    inverse,
     l1_distance,
     l1_norm,
     line_to_angle,
@@ -156,6 +158,14 @@ class TestAlgebra:
         line = from_line_segments(xs, np.roll(xs, -1), vals)
         assert line.breakpoints.tolist() == survivors
         assert line.values.tolist() == [0.5, -1.0, 0.75]
+        # the same cuts moved by +0.5 (top wraps to the front), held raw, and
+        # pulled back by a rotation through 0.5
+        moved = np.mod(np.add(cuts, 0.5), TWO_PI)
+        order = np.argsort(moved)
+        raw = BoundaryFunction._clean(moved[order], np.array(vals)[order])
+        turned = compose_with_moebius(raw, rotation(0.5))
+        assert np.allclose(turned.breakpoints, survivors, rtol=0.0, atol=1e-15)
+        assert turned.values.tolist() == [0.5, -1.0, 0.75]
 
     @given(st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 3), st.booleans()),
                     min_size=1, max_size=24),
@@ -224,18 +234,31 @@ class TestComposition:
         assert abs(f.mean() - g.mean()) < 1e-12
 
     def test_pointwise_composition_identity(self, rng):
-        from discdyn import act_disc
-
-        for _ in range(10):
-            f = random_boundary(rng)
-            g = random_element(rng)
-            s = rng.uniform(0.0, TWO_PI)
-            z = act_disc(g, np.exp(1j * s))
-            s_img = math.atan2(z.imag, z.real) % TWO_PI
-            # (f o g)(s) = f(g(s)); stay away from breakpoints of the image
+        # random elements, and contracting ones that pull f's cuts to within
+        # rounding of each other; g(s) is the 50-digit image of the element
+        edge = BoundaryFunction([0.0, 6.28], [0.3, -0.7j])
+        cases = [(random_boundary(rng), random_element(rng)) for _ in range(10)]
+        for lam in (1e-7, 1e-12, 1e-14):
+            g = inverse(hyperbolic_multiplier(lam))
+            cases += [(edge, g), (random_boundary(rng, n_pieces=16), g)]
+        for f, g in cases:
             comp = compose_with_moebius(f, g)
-            if min(abs(comp.breakpoints - s)) > 1e-9 and min(abs(f.breakpoints - s_img)) > 1e-9:
-                assert abs(comp.evaluate(s) - f.evaluate(s_img)) < 1e-12
+            for s in rng.uniform(0.0, TWO_PI, 4):
+                with mpmath.workdps(50):
+                    z, a, b = mpmath.expj(float(s)), mpmath.mpc(g.alpha), mpmath.mpc(g.beta)
+                    w = (a * z + b) / (mpmath.conj(b) * z + mpmath.conj(a))
+                    s_img = float(mpmath.arg(w) % (2 * mpmath.pi))
+                # (f o g)(s) = f(g(s)); stay away from breakpoints of the image
+                if min(abs(comp.breakpoints - s)) > 1e-9 and min(abs(f.breakpoints - s_img)) > 1e-9:
+                    assert comp.evaluate(s) == f.evaluate(s_img)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-14])
+    def test_collapsed_cuts_keep_piece_values(self, lam):
+        # x -> x/lam takes the cut at 6.28 to within rounding of angle 2pi:
+        # the piece [6.28, 2pi) vanishes and f o g is 0.3 but for a sliver
+        f = BoundaryFunction([0.0, 6.28], [0.3, -0.7j])
+        comp = compose_with_moebius(f, inverse(hyperbolic_multiplier(lam)))
+        assert comp.evaluate([1.0, 3.0, 5.5]).tolist() == [0.3, 0.3, 0.3]
 
 
 class TestCayley:

@@ -52,6 +52,23 @@ class TestCommands:
         assert rc == 0
         assert len(_data_rows(tmp_path / "orbit.csv")) == 8
 
+    @pytest.mark.parametrize(
+        "argv, column",
+        [(["orbit", "--steps", "3"], "mean"), (["limit", "--nmax", "3"], "value")],
+        ids=["orbit", "limit"],
+    )
+    def test_contracting_iterates_keep_piece_values(self, bdry, tmp_path, argv, column):
+        # x -> 1e7 x pulls the cut at 6.28 onto angle 2pi from the second
+        # step on; every iterate is 0.3 but for a sliver below angle 2pi
+        edge = {"breakpoints": [0.0, 6.28], "values": [[0.3, 0.0], [0.0, -0.7]]}
+        (tmp_path / "edge.json").write_text(json.dumps(edge))
+        assert main([*argv, "--boundary", "edge.json", "--lambda", "1e-7", "--out", "o.csv"]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "o.csv").read_text().splitlines()[2:]]
+        cols = rows[0].index(column + "_re"), rows[0].index(column + "_im")
+        iterates = [(float(r[cols[0]]), float(r[cols[1]])) for r in rows[2:]]  # n >= 1
+        assert len(iterates) == 3
+        assert all(abs(re - 0.3) <= 1e-9 and abs(im) <= 1e-9 for re, im in iterates)
+
     def test_dense_certificate(self, bdry, tmp_path):
         rc = main(["dense", "--lambda", "2", "--levels", "3", "--seed", "7"])
         assert rc == 0
@@ -309,6 +326,17 @@ class TestExitCodes:
     def test_alpha_without_beta(self, bdry):
         assert main(["orbit", "--boundary", "f.json", "--alpha", "2+0j"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag, rate", [("--lambda", "1e17"), ("--lambda", "1e-17"), ("--shift", "1e9")]
+    )
+    def test_rate_beyond_double_resolution(self, bdry, tmp_path, capsys, flag, rate):
+        # |alpha|^2 - |beta|^2 of the normal form cancels to 0 in doubles
+        assert main(["act", "--boundary", "f.json", flag, rate, "--out", "g.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and repr(float(rate)) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
     def test_validation_gate_exits_two(self, bdry):
         assert main(["projective", "--samples", "50", "--tol", "1e-18"]) == 2
 
@@ -329,6 +357,17 @@ class TestReproducibility:
         rc = main(["--config", "run.json"])
         assert rc == 0
         assert _data_rows(tmp_path / "a.csv") == _data_rows(tmp_path / "b.csv")
+
+    def test_echoed_config_is_rejected(self, bdry, tmp_path, capsys):
+        # an output's "config" object holds flags at its top level, not under
+        # "params"; read as a config file it would run foliate with defaults
+        assert main(["foliate", "--points", "50", "--seed", "3", "--grid", "8", "--out", "fo"]) == 0
+        echoed = json.loads((tmp_path / "fo.json").read_text())["config"]
+        (tmp_path / "run.json").write_text(json.dumps(echoed))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["--config", "run.json"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_one_parser_serves_many_calls(self, bdry, tmp_path):
         assert _build_parser() is _build_parser()

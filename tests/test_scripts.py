@@ -59,3 +59,12 @@ def test_ab_inprocess_foliate(capsys):
     assert out.count("per op median") == 2
     assert "change wins" in out and "identical (exit code, CSV, JSON): 3/3" in out
     assert sys.modules["discdyn"] is discdyn
+
+
+def test_cli_battery(capsys):
+    repo = str(SCRIPTS.parent)
+    assert _main("cli_battery")([repo, repo]) == 0
+    out = capsys.readouterr().out
+    runs = int(out.split("runs: ")[1].split(";")[0])
+    assert runs >= 150 and f"equal exit codes: {runs}/{runs}" in out
+    assert "differs" not in out
