@@ -7,8 +7,9 @@ one fixed list of ops alternate.  `--op metric` runs
 CompactExhaustion())` (random f with 8 pieces; g hyperbolic, hyperbolic,
 parabolic, elliptic in turn) and compares the (value, bar) pairs.
 `--op foliate` runs `cli.main(["foliate", "--points", "5000", ...])` (word
-lengths 4, 8, 12 in turn, random base arc and seed) and compares the bytes
-of the CSV and JSON each op writes, its --out path replaced.  Each
+lengths 4, 8, 12 in turn, random base arc and seed) and compares the exit
+code and the bytes each op writes, its --out path replaced (`run_cli_ops`,
+which `cli_battery.py` shares).  Each
 alternation times every op on both sides, in an order that swaps from one
 alternation to the next.  Both sides see the same machine state, so this
 separates small per-op changes that separate-process pairs lose in the
@@ -20,7 +21,10 @@ Example:
 """
 
 import argparse
+import contextlib
+import glob
 import importlib
+import io
 import math
 import os
 import statistics
@@ -106,24 +110,30 @@ def make_foliate_ops(n_ops: int, seed: int) -> list:
     ]
 
 
-def run_foliate_ops(pkg, ops, outdir) -> tuple[float, list]:
-    """Seconds for all ops, and each op's exit code and output bytes with
-    its --out path replaced by "OUT"."""
+def run_cli_ops(pkg, ops, outdir) -> tuple[float, list]:
+    """Seconds for all ops, and per op its exit code (or the exception it
+    raised) and the bytes it writes by name: "stderr" for its standard error
+    text when there is any, "" for the file --out OUT itself and ".ext" for
+    OUT.ext.  The --out path reads "OUT" in all of them."""
     seconds, out = 0.0, []
     for i, argv in enumerate(ops):
-        stem = os.path.join(outdir, f"op{i}")
-        t0 = time.perf_counter()
-        rc = pkg.cli.main(argv + ["--out", stem])
-        seconds += time.perf_counter() - t0
-        texts = []
-        for ext in (".csv", ".json"):
-            with open(stem + ext, "rb") as fh:
-                texts.append(fh.read().replace(stem.encode(), b"OUT"))
-        out.append((rc, texts))
+        stem, err = os.path.join(outdir, f"op{i}"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            t0 = time.perf_counter()
+            try:
+                rc = pkg.cli.main(argv + ["--out", stem])
+            except Exception as e:
+                rc = f"raised {type(e).__name__}: {e}"
+            seconds += time.perf_counter() - t0
+        texts = {"stderr": err.getvalue().encode()} if err.getvalue() else {}
+        for path in [stem] * os.path.exists(stem) + glob.glob(glob.escape(stem) + ".*"):
+            with open(path, "rb") as fh:
+                texts[path[len(stem):]] = fh.read()
+        out.append((rc, {k: v.replace(stem.encode(), b"OUT") for k, v in texts.items()}))
     return seconds, out
 
 
-OPS = {"metric": (make_metric_ops, run_metric_ops), "foliate": (make_foliate_ops, run_foliate_ops)}
+OPS = {"metric": (make_metric_ops, run_metric_ops), "foliate": (make_foliate_ops, run_cli_ops)}
 
 
 def quartiles(xs):

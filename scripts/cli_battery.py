@@ -5,13 +5,13 @@ One seeded list of runs of `act`, `orbit`, `limit`, `conjugate`, `periodic`
 and `dense` covers the rates --lambda 0.5, 2, 1e-7, 1e7, 1e-14 and --shift -3,
 random elements given as --alpha/--beta, and boundary files of 2 to 64
 pieces, a third of them with a cut at angle 0, plus the two-piece file with
-cuts 0 and 6.28.  Each tree runs the whole list through its own
-`discdyn.cli.main` in its own process, from its own directory, on the same
-input files.  The script prints how many runs end with equal exit codes and
-how many outputs are byte-identical, and names each output that differs.  An
-output is a file a run writes, or its standard error text (the tree's path
-replaced by TREE) when there is any.  The exit status is 0 when everything
-agrees and 1 otherwise.
+cuts 0 and 6.28.  Both trees are imported into this process
+(`ab_inprocess.load`) and run the whole list on the same input files through
+`ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
+exit codes and how many outputs are byte-identical, and names each output
+that differs.  An output is a file a run writes, or its standard error text
+when there is any.  The exit status is 0 when everything agrees and 1
+otherwise.
 
 Example:
     python3 scripts/cli_battery.py ../parent .
@@ -20,37 +20,15 @@ Example:
 import json
 import math
 import os
-import pathlib
-import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from ab_inprocess import load, run_cli_ops  # noqa: E402
+
 TWO_PI = 2.0 * math.pi
-
-WORKER = r"""
-import contextlib, io, json, os, sys
-tree = sys.argv[1]
-sys.path.insert(0, os.path.join(tree, "src"))
-from discdyn.cli import main
-with open(sys.argv[2]) as fh:
-    runs = json.load(fh)
-codes = []
-for i, argv in enumerate(runs):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            codes.append(main(argv))
-        except Exception as e:
-            codes.append("raised " + type(e).__name__)
-            print(f"{type(e).__name__}: {e}", file=err)
-    if err.getvalue():
-        with open(f"r{i:03d}.stderr", "w") as fh:
-            fh.write(err.getvalue().replace(tree, "TREE"))
-json.dump(codes, sys.stdout)
-"""
-
 RATES = [["--lambda", x] for x in ("0.5", "2", "1e-07", "10000000", "1e-14")] + [["--shift", "-3"]]
 PIECES = [2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64]
 
@@ -79,12 +57,12 @@ def make_inputs(rng) -> dict[str, str]:
     return files
 
 
-def make_runs(rng, names: list[str]) -> list[list[str]]:
-    """The argv list; --out names are filled in by `main`."""
+def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
+    """The argv list, without --out; boundary files are read from inputs/NAME.json."""
     runs = []
 
     def bdry(name):
-        return ["--boundary", f"../inputs/{name}.json"]
+        return ["--boundary", os.path.join(inputs, f"{name}.json")]
 
     for name in names:  # 13 files x (6 rates + 1 random element)
         runs += [["act", *bdry(name), *r] for r in RATES + [_element(rng)]]
@@ -105,53 +83,40 @@ def make_runs(rng, names: list[str]) -> list[list[str]]:
     return runs
 
 
-def run_tree(tree: str, workdir: str, side: str, runs_path: str) -> subprocess.Popen:
-    os.mkdir(os.path.join(workdir, side))
-    return subprocess.Popen(
-        [sys.executable, "-c", WORKER, os.path.abspath(tree), runs_path],
-        cwd=os.path.join(workdir, side), stdout=subprocess.PIPE, text=True,
-    )
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
+    sides = {"parent": load(argv[0]), "change": load(argv[1])}
     rng = np.random.default_rng(20260)
     files = make_inputs(rng)
-    runs = make_runs(rng, list(files))
-    for i, argv_i in enumerate(runs):  # periodic writes OUT.json and OUT.csv
-        suffix = {"act": ".json", "conjugate": ".json", "periodic": ""}.get(argv_i[0], ".csv")
-        argv_i += ["--out", f"r{i:03d}{suffix}"]
     with tempfile.TemporaryDirectory() as work:
-        os.mkdir(os.path.join(work, "inputs"))
+        inputs = os.path.join(work, "inputs")
+        os.mkdir(inputs)
         for name, text in files.items():
-            with open(os.path.join(work, "inputs", f"{name}.json"), "w") as fh:
+            with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
                 fh.write(text)
-        runs_path = os.path.join(work, "runs.json")
-        with open(runs_path, "w") as fh:
-            json.dump(runs, fh)
-        procs = {side: run_tree(tree, work, side, runs_path)
-                 for side, tree in zip(("parent", "change"), argv)}
-        codes = {side: p.communicate()[0] for side, p in procs.items()}
-        if any(p.returncode for p in procs.values()):
-            print("a worker failed", file=sys.stderr)
-            return 1
-        codes = {side: json.loads(text) for side, text in codes.items()}
-        dirs = [pathlib.Path(work, side) for side in procs]
-        outputs = sorted({p.name for d in dirs for p in d.iterdir()})
-        differ = [name for name in outputs
-                  if len({(d / name).read_bytes() if (d / name).exists() else None for d in dirs}) > 1]
-    equal = [a == b for a, b in zip(codes["parent"], codes["change"])]
-    print(f"runs: {len(runs)}; equal exit codes: {sum(equal)}/{len(runs)}; "
-          f"identical outputs: {len(outputs) - len(differ)}/{len(outputs)}")
-    for i in np.flatnonzero(~np.array(equal)):
-        a, b = codes["parent"][i], codes["change"][i]
-        print(f"exit codes differ: r{i:03d} {a} -> {b}: {' '.join(runs[i])}")
-    for name in differ:
-        print(f"output differs: {name}: {' '.join(runs[int(name[1:4])])}")
-    return 0 if all(equal) and not differ else 1
+        runs = make_runs(rng, list(files), inputs)
+        results = {}
+        for side, pkg in sides.items():
+            os.mkdir(os.path.join(work, side))
+            results[side] = run_cli_ops(pkg, runs, os.path.join(work, side))[1]
+    shown = [" ".join(argv_i).replace(inputs, "inputs") for argv_i in runs]
+    n_outputs, lines = 0, []
+    for i, ((a, out_a), (b, out_b)) in enumerate(zip(results["parent"], results["change"])):
+        if a != b:
+            lines.append(f"exit codes differ: r{i:03d} {a} -> {b}: {shown[i]}")
+        n_outputs += len(out_a.keys() | out_b.keys())
+        lines += [f"output differs: r{i:03d}{key or ' (--out)'}: {shown[i]}"
+                  for key in sorted(out_a.keys() | out_b.keys()) if out_a.get(key) != out_b.get(key)]
+    n_equal = sum(a[0] == b[0] for a, b in zip(results["parent"], results["change"]))
+    n_differ = sum(line.startswith("output") for line in lines)
+    print(f"runs: {len(runs)}; equal exit codes: {n_equal}/{len(runs)}; "
+          f"identical outputs: {n_outputs - n_differ}/{n_outputs}")
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -270,10 +270,7 @@ def _pull_back(f: BoundaryFunction, h, h_inv, reverses: bool = False) -> Boundar
     p = h_inv(f.breakpoints)
     q = np.concatenate((p[1:], p[:1]))  # pulled end of each piece
     start, live = (q if reverses else p), p != q
-    n_live = np.count_nonzero(live)
-    if n_live == p.size:  # no piece collapses
-        return BoundaryFunction(start, f.values)
-    if n_live == 0:
+    if not live.any():
         return BoundaryFunction(p[:1], f.evaluate(h(p[:1] + math.pi)))
     return BoundaryFunction(start[live], f.values[live])
 

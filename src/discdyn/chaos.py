@@ -532,19 +532,13 @@ class Conjugacy:
             H_inv = lambda x: np.copysign(np.abs(x) ** (1.0 / rho), x)
         else:
             H, H_inv = (lambda x: rho * x), (lambda x: x / rho)
-
-        def through(a, line_map, b):  # b^-1 o line_map o a^-1, as compose_with_moebius moves cuts
-            a, b = inv(a), inv(b)
-
-            def h(s):
-                with np.errstate(over="ignore"):
-                    x = line_map(angle_to_line(_moebius_angles(a, s)))
-                return _moebius_angles(b, line_to_angle(x))
-
-            return h
-
-        h = through(self.c2, H, inv(self.c1))
-        return _pull_back(f, h, through(self.c1, H_inv, inv(self.c2)), reverses=rho < 0.0)
+        c1i, c2i = inv(self.c1), inv(self.c2)
+        c1, c2 = inv(c1i), inv(c2i)  # renormalized, as compose_with_moebius(., c^-1) pulls by them
+        line = lambda g, s: angle_to_line(_moebius_angles(g, s))
+        h = lambda s: _moebius_angles(c1, line_to_angle(H(line(c2i, s))))
+        h_inv = lambda s: _moebius_angles(c2, line_to_angle(H_inv(line(c1i, s))))
+        with np.errstate(over="ignore"):
+            return _pull_back(f, h, h_inv, reverses=rho < 0.0)
 
     def intertwine_residual(
         self, f: BoundaryFunction, ex: CompactExhaustion | None = None

@@ -235,7 +235,8 @@ class TestComposition:
 
     def test_pointwise_composition_identity(self, rng):
         # random elements, and contracting ones that pull f's cuts to within
-        # rounding of each other; g(s) is the 50-digit image of the element
+        # rounding of each other (edge o g is 0.3 but for a sliver near 0);
+        # g(s) is the 50-digit image of the element
         edge = BoundaryFunction([0.0, 6.28], [0.3, -0.7j])
         cases = [(random_boundary(rng), random_element(rng)) for _ in range(10)]
         for lam in (1e-7, 1e-12, 1e-14):
@@ -243,7 +244,7 @@ class TestComposition:
             cases += [(edge, g), (random_boundary(rng, n_pieces=16), g)]
         for f, g in cases:
             comp = compose_with_moebius(f, g)
-            for s in rng.uniform(0.0, TWO_PI, 4):
+            for s in (1.0, 3.0, 5.5, *rng.uniform(0.0, TWO_PI, 4)):
                 with mpmath.workdps(50):
                     z, a, b = mpmath.expj(float(s)), mpmath.mpc(g.alpha), mpmath.mpc(g.beta)
                     w = (a * z + b) / (mpmath.conj(b) * z + mpmath.conj(a))
@@ -251,14 +252,6 @@ class TestComposition:
                 # (f o g)(s) = f(g(s)); stay away from breakpoints of the image
                 if min(abs(comp.breakpoints - s)) > 1e-9 and min(abs(f.breakpoints - s_img)) > 1e-9:
                     assert comp.evaluate(s) == f.evaluate(s_img)
-
-    @pytest.mark.parametrize("lam", [1e-12, 1e-14])
-    def test_collapsed_cuts_keep_piece_values(self, lam):
-        # x -> x/lam takes the cut at 6.28 to within rounding of angle 2pi:
-        # the piece [6.28, 2pi) vanishes and f o g is 0.3 but for a sliver
-        f = BoundaryFunction([0.0, 6.28], [0.3, -0.7j])
-        comp = compose_with_moebius(f, inverse(hyperbolic_multiplier(lam)))
-        assert comp.evaluate([1.0, 3.0, 5.5]).tolist() == [0.3, 0.3, 0.3]
 
 
 class TestCayley:
