@@ -9,7 +9,11 @@ parabolic, elliptic in turn) and compares the (value, bar) pairs.
 `--op foliate` runs `cli.main(["foliate", "--points", "5000", ...])` (word
 lengths 4, 8, 12 in turn, random base arc and seed) and compares the exit
 code and the bytes each op writes, its --out path replaced (`run_cli_ops`,
-which `cli_battery.py` shares).  Each
+which `cli_battery.py` shares).  `--op orbit` (20 steps) and `--op limit`
+(40 rows) run those commands on random boundary files of 2 to 64 pieces
+under --lambda in [1.5, 4] or --shift in [0.5, 3], so their time per op is
+a fixed number of rows; they count identical outputs but do not require
+them.  Each
 alternation times every op on both sides, in an order that swaps from one
 alternation to the next.  Both sides see the same machine state, so this
 separates small per-op changes that separate-process pairs lose in the
@@ -18,13 +22,16 @@ machine's own drift; it supplements those pairs and does not replace them.
 Example:
     python3 scripts/ab_inprocess.py ../parent . --ops 200 --alternations 20 --seed 4321
     python3 scripts/ab_inprocess.py ../parent . --op foliate --ops 60 --alternations 10
+    python3 scripts/ab_inprocess.py ../parent . --op orbit --ops 20 --alternations 10
 """
 
 import argparse
 import contextlib
+import functools
 import glob
 import importlib
 import io
+import json
 import math
 import os
 import statistics
@@ -62,7 +69,7 @@ def _compose(g, h):
     return a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate()
 
 
-def make_metric_ops(n_ops: int, seed: int) -> list:
+def make_metric_ops(n_ops: int, seed: int, workdir: str) -> list:
     """(breakpoints, values, alpha, beta) of the `metric` op, n_ops of them."""
     rng = np.random.default_rng(seed)
     ops = []
@@ -99,7 +106,7 @@ def run_metric_ops(pkg, ops, outdir) -> tuple[float, list]:
     return time.perf_counter() - t0, out
 
 
-def make_foliate_ops(n_ops: int, seed: int) -> list:
+def make_foliate_ops(n_ops: int, seed: int, workdir: str) -> list:
     """Argument lists of the `foliate` op, without --out, n_ops of them."""
     rng = np.random.default_rng(seed)
     return [
@@ -133,7 +140,34 @@ def run_cli_ops(pkg, ops, outdir) -> tuple[float, list]:
     return seconds, out
 
 
-OPS = {"metric": (make_metric_ops, run_metric_ops), "foliate": (make_foliate_ops, run_cli_ops)}
+def make_orbit_ops(n_ops: int, seed: int, workdir: str, command="orbit") -> list:
+    """Argument lists of the `orbit` (or `limit`) op, without --out; their
+    boundary files are written to workdir."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for i in range(n_ops):
+        n = int(rng.integers(2, 65))
+        br = np.sort(rng.uniform(0.0, TWO_PI, n))
+        vals = np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        path = os.path.join(workdir, f"{command}{i}.json")
+        pairs = vals.view(float).reshape(-1, 2).tolist()
+        with open(path, "w") as fh:
+            json.dump({"breakpoints": br.tolist(), "values": pairs}, fh)
+        if i % 2 == 0:
+            rate = ["--lambda", repr(rng.uniform(1.5, 4.0))]
+        else:
+            rate = ["--shift", repr(rng.uniform(0.5, 3.0))]
+        rows = ["--steps", "20"] if command == "orbit" else ["--nmax", "40"]
+        ops.append([command, "--boundary", path, *rate, *rows])
+    return ops
+
+
+OPS = {
+    "metric": (make_metric_ops, run_metric_ops),
+    "foliate": (make_foliate_ops, run_cli_ops),
+    "orbit": (make_orbit_ops, run_cli_ops),
+    "limit": (functools.partial(make_orbit_ops, command="limit"), run_cli_ops),
+}
 
 
 def quartiles(xs):
@@ -154,10 +188,10 @@ def main(argv=None) -> int:
 
     make, run = OPS[args.op]
     sides = {"parent": load(args.parent), "change": load(args.change)}
-    ops = make(args.ops, args.seed)
     per_op = {name: [] for name in sides}
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
+        ops = make(args.ops, args.seed, tmp)
         outdirs = {name: os.path.join(tmp, name) for name in sides}
         for name, pkg in sides.items():  # warm-up, untimed
             os.mkdir(outdirs[name])
@@ -174,9 +208,9 @@ def main(argv=None) -> int:
     speedup = statistics.median(per_op["parent"]) / statistics.median(per_op["change"])
     print(f"change wins {wins}/{args.alternations}, speed-up x{speedup:.3f}")
     same = sum(a == b for a, b in zip(results["parent"], results["change"]))
-    if args.op == "foliate":
+    if args.op != "metric":
         print(f"identical (exit code, CSV, JSON): {same}/{len(ops)}")
-        return 0 if same == len(ops) else 1
+        return 0 if same == len(ops) or args.op != "foliate" else 1
     apart = max(abs(a[0] - b[0]) / (a[1] + b[1]) if a != b else 0.0
                 for a, b in zip(results["parent"], results["change"]))
     print(f"identical (value, bar): {same}/{len(ops)}; largest |value gap| / (sum of bars): {apart:.3g}")

@@ -2,16 +2,21 @@
 """Byte-for-byte comparison of two source trees over a fixed CLI battery.
 
 One seeded list of runs of `act`, `orbit`, `limit`, `conjugate`, `periodic`
-and `dense` covers the rates --lambda 0.5, 2, 1e-7, 1e7, 1e-14 and --shift -3,
-random elements given as --alpha/--beta, and boundary files of 2 to 64
-pieces, a third of them with a cut at angle 0, plus the two-piece file with
-cuts 0 and 6.28.  Both trees are imported into this process
+and `dense` covers the rates --lambda 0.5, 2, 1e-7, 1e7, 1e-14, 1e17, 1e-300
+and --shift -3, 1e9, random elements given as --alpha/--beta, and boundary
+files of 2 to 64 pieces, a third of them with a cut at angle 0, plus the
+two-piece file with cuts 0 and 6.28; one `limit --lambda 1.001 --nmax 500`
+run follows a long orbit.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output
 that differs.  An output is a file a run writes, or its standard error text
-when there is any.  The exit status is 0 when everything agrees and 1
-otherwise.
+when there is any.  A differing output is measured too:
+- `act` under --lambda/--shift: each side's worst cut, its distance to the
+  nearest 60-digit `mpmath` image of an input cut;
+- `orbit`: the largest |norm gap| over the sum of both sides' bars;
+- `limit`: the largest gap of an oscillation or value.
+The exit status is 0 when everything agrees and 1 otherwise.
 
 Example:
     python3 scripts/cli_battery.py ../parent .
@@ -23,13 +28,15 @@ import os
 import sys
 import tempfile
 
+import mpmath
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from ab_inprocess import load, run_cli_ops  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
-RATES = [["--lambda", x] for x in ("0.5", "2", "1e-07", "10000000", "1e-14")] + [["--shift", "-3"]]
+RATES = ([["--lambda", x] for x in ("0.5", "2", "1e-07", "10000000", "1e-14", "1e17", "1e-300")]
+         + [["--shift", "-3"], ["--shift", "1e9"]])
 PIECES = [2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64]
 
 
@@ -80,7 +87,60 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
     for i, r in enumerate(RATES):
         runs.append(["periodic", *bdry(("edge", "p02", "p03")[i % 3]), *r, "--epsilon", "0.3"])
         runs.append(["dense", *r, "--levels", "3"])
+    runs.append(["limit", *bdry(names[5]), "--lambda", "1.001", "--nmax", "500"])
     return runs
+
+
+def _flag(argv, name):
+    return argv[argv.index(name) + 1] if name in argv else None
+
+
+def worst_cut_error(cuts, argv, out) -> str:
+    """Largest distance from a cut of the `act` output `out` to the nearest
+    60-digit image of an input cut under the run's x -> lambda x or x + shift.
+    The cut at the double pi is the point at infinity, as the package has it."""
+    if out is None:
+        return "no output"
+    lam, shift = _flag(argv, "--lambda"), _flag(argv, "--shift")
+    with mpmath.workdps(60):
+        two_pi, images = 2 * mpmath.pi, []
+        for s in cuts:
+            x = mpmath.inf if s == math.pi else mpmath.tan(mpmath.mpf(s) / 2)
+            y = x * mpmath.mpf(lam) if shift is None else x + mpmath.mpf(shift)
+            images.append(mpmath.fmod(2 * mpmath.atan(y) + two_pi, two_pi))
+        near, worst = np.array([float(v) for v in images]), 0.0
+        for c in json.loads(out)["breakpoints"]:
+            # the exact distance to every image within 1e-12 of the nearest
+            d = np.abs(np.mod(c - near + math.pi, TWO_PI) - math.pi)
+            gaps = [mpmath.fmod(mpmath.mpf(c) - images[j] + 3 * mpmath.pi, two_pi) - mpmath.pi
+                    for j in np.flatnonzero(d <= d.min() + 1e-12)]
+            worst = max(worst, min(float(abs(g)) for g in gaps))
+    return f"{worst:.3g}"
+
+
+def _csv_rows(out) -> np.ndarray:
+    """The data rows of a CSV output as one float array, a column per name."""
+    lines = [ln for ln in out.decode().splitlines() if not ln.startswith("#")]
+    rows = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    return np.array(rows).reshape(len(rows), len(lines[0].split(",")))
+
+
+def measure(cuts, argv, key, out_a, out_b) -> str:
+    """What a differing --out file of `act`, `orbit` or `limit` moved by."""
+    if key != "":
+        return ""
+    if argv[0] == "act" and "--alpha" not in argv:
+        return (f"; worst cut vs mpmath: parent {worst_cut_error(cuts, argv, out_a)}, "
+                f"change {worst_cut_error(cuts, argv, out_b)}")
+    if argv[0] not in ("orbit", "limit") or out_a is None or out_b is None:
+        return ""
+    a, b = _csv_rows(out_a), _csv_rows(out_b)
+    if a.shape != b.shape:
+        return "; row counts differ"
+    if argv[0] == "orbit":  # columns n, norm, norm_bar, mean_re, mean_im
+        ratio = np.abs(a[:, 1] - b[:, 1]) / (a[:, 2] + b[:, 2])
+        return f"; |norm gap| / (sum of bars) <= {np.max(ratio):.3g}"
+    return f"; largest gap <= {np.max(np.abs(a[:, 1:] - b[:, 1:])):.3g}"
 
 
 def main(argv=None) -> int:
@@ -102,14 +162,19 @@ def main(argv=None) -> int:
         for side, pkg in sides.items():
             os.mkdir(os.path.join(work, side))
             results[side] = run_cli_ops(pkg, runs, os.path.join(work, side))[1]
+    cuts = {os.path.join(inputs, f"{name}.json"): json.loads(text)["breakpoints"]
+            for name, text in files.items()}
     shown = [" ".join(argv_i).replace(inputs, "inputs") for argv_i in runs]
     n_outputs, lines = 0, []
     for i, ((a, out_a), (b, out_b)) in enumerate(zip(results["parent"], results["change"])):
         if a != b:
             lines.append(f"exit codes differ: r{i:03d} {a} -> {b}: {shown[i]}")
         n_outputs += len(out_a.keys() | out_b.keys())
-        lines += [f"output differs: r{i:03d}{key or ' (--out)'}: {shown[i]}"
-                  for key in sorted(out_a.keys() | out_b.keys()) if out_a.get(key) != out_b.get(key)]
+        for key in sorted(out_a.keys() | out_b.keys()):
+            if out_a.get(key) != out_b.get(key):
+                gap = measure(cuts.get(_flag(runs[i], "--boundary")), runs[i], key,
+                              out_a.get(key), out_b.get(key))
+                lines.append(f"output differs: r{i:03d}{key or ' (--out)'}: {shown[i]}{gap}")
     n_equal = sum(a[0] == b[0] for a, b in zip(results["parent"], results["change"]))
     n_differ = sum(line.startswith("output") for line in lines)
     print(f"runs: {len(runs)}; equal exit codes: {n_equal}/{len(runs)}; "

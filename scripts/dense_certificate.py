@@ -10,7 +10,7 @@ import csv
 import sys
 import time
 
-from discdyn import TargetFamily, dense_orbit_report, make_schedule
+from discdyn import TargetFamily, dense_orbit_report, schedule
 
 
 def main(argv=None) -> int:
@@ -26,7 +26,7 @@ def main(argv=None) -> int:
         w = csv.writer(fh)
         w.writerow(["rate", "seed", "n", "k", "dist", "bound", "error_bar", "certified", "seconds"])
         for rate in args.rates:
-            sched = make_schedule(rate, max(args.targets, args.levels + 2))
+            sched = schedule("hyperbolic", rate, max(args.targets, args.levels + 2))
             for seed in args.seeds:
                 fam = TargetFamily.generate(args.targets, seed=seed)
                 t0 = time.perf_counter()

@@ -41,9 +41,9 @@ from .chaos import (
     build_periodic_approximant,
     conjugating_map,
     dense_orbit_report,
-    make_parabolic_schedule,
-    make_schedule,
+    schedule,
     translate_boundary,
+    translates,
 )
 from .foliation import (
     FuchsianGroup,

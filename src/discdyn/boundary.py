@@ -6,7 +6,8 @@ live in the closed unit disc for all public constructors; raw differences
 (used by the metric code) may exceed that bound.  Under a circle map h, f o h
 gives each piece's value to the arc between its two cuts pulled through h^-1;
 a piece whose ends round onto one angle drops out with its cut (`_pull_back`,
-behind both `compose_with_moebius` and the conjugacy transport).
+behind `compose_with_moebius`, the conjugacy transport and the normal-form
+translate, whose h^-1 scales or shifts the line coordinate exactly).
 
 The circle doubles as the compactified real line through z = eta^{-1}(x),
 eta(z) = i(1-z)/(1+z); in angle coordinates s(x) = 2*atan(x) mod 2pi.  The

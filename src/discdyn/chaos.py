@@ -27,7 +27,8 @@ s(x) = 2*atan(x) in one pass.  Level n's translate of the dense seed is built
 the same way, window m scaled by lam^(k_n - k_m), so window n lands on
 [1/n, n] at full resolution and no group element gamma^{k_n} is formed.  Far
 periodic translates beyond a resolution floor are certified into error bars
-instead of being materialized.
+instead of being materialized.  `translates` moves boundary data along a
+normal form's orbit the same way, row n by one exact scale or shift.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .boundary import (
     from_line_segments,
     l1_distance,
     line_to_angle,
+    wrap_angle,
 )
 from .moebius import ElementClass, MoebiusElement, ResolutionError
 from .poisson import CompactExhaustion, HarmonicFunction, metric_distance
@@ -141,26 +143,16 @@ def _least_exponent(kind: str, rate: float, target: float) -> int:
     return e
 
 
-def _schedule(kind: str, rate: float, n_levels: int) -> DenseOrbitSchedule:
-    """k_1 = 1 and each gap least with n(n+1) < rate^gap (hyperbolic) or
-    rate*gap > 2n+1 (parabolic).  The gap past the last level is found too,
-    so a one-level schedule still has its rate checked."""
+def schedule(kind: str, rate: float, n_levels: int) -> DenseOrbitSchedule:
+    """Minimal schedule: k_1 = 1 and each gap least with n(n+1) < rate^gap
+    (hyperbolic) or rate*gap > 2n+1 (parabolic).  The gap past the last level
+    is found too, so a one-level schedule still has its rate checked."""
     targets = [n * (n + 1) if kind == "hyperbolic" else 2 * n + 1 for n in range(1, n_levels + 1)]
     gaps = [_least_exponent(kind, rate, t) for t in targets]
     ks = tuple(itertools.accumulate(gaps[:-1], initial=1))
     sched = DenseOrbitSchedule(kind, float(rate), ks)
     sched.check()
     return sched
-
-
-def make_schedule(lam: float, n_levels: int) -> DenseOrbitSchedule:
-    """Minimal hyperbolic schedule: k_1 = 1, smallest gaps keeping windows apart."""
-    return _schedule("hyperbolic", lam, n_levels)
-
-
-def make_parabolic_schedule(a: float, n_levels: int) -> DenseOrbitSchedule:
-    """Minimal parabolic schedule: windows [a k_n - n, a k_n + n] kept disjoint."""
-    return _schedule("parabolic", a, n_levels)
 
 
 # --- target family -----------------------------------------------------------
@@ -216,6 +208,8 @@ class TargetFamily:
 
 # --- line windows ------------------------------------------------------------
 
+_TWO_PI_LONG = 8 * np.arctan(np.longdouble(1))  # 2pi to the precision of np.longdouble
+
 
 def _window_pieces(f: BoundaryFunction, kind: str, n: int):
     """Pieces (lo, hi, value) of f, as a function of the line coordinate, on
@@ -238,6 +232,43 @@ def _moved(pieces, kind: str, rate: float, e):
     else:
         lo, hi = lo - e * rate, hi - e * rate
     return lo.ravel(), hi.ravel(), np.broadcast_to(val, lo.shape).ravel()
+
+
+def _line_translate(f: BoundaryFunction, kind: str, rate: float, n: int) -> BoundaryFunction:
+    """f o gamma^-n as one `_pull_back`, its cut map gamma^n in the line
+    coordinate: x -> rate^n x (hyperbolic) or x + n rate (parabolic).  Each
+    cut moves in extended precision (`np.longdouble`, where the platform has
+    more than a double) and rounds to a double once.  The fixed points (angle
+    0 and pi, or pi) stay put when rate^n overflows or underflows, and a cut
+    carried past the range lands on angle pi."""
+    r = np.longdouble(rate)
+
+    def move(s, m):
+        s = wrap_angle(s)
+        x = np.tan(np.asarray(s, np.longdouble) / 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x * r**m if kind == "hyperbolic" else x + r * m
+        t = np.mod(2 * np.arctan(y), _TWO_PI_LONG).astype(float)
+        fixed = (s == math.pi) | ((s == 0.0) & (kind == "hyperbolic"))
+        return np.where(fixed, s, np.where(t < TWO_PI, t, 0.0))
+
+    return _pull_back(f, lambda s: move(s, -n), lambda s: move(s, n))
+
+
+def translates(f: BoundaryFunction, gamma, n_max: int):
+    """The rows f o gamma^-n for n = 0, 1, ..., n_max, f itself first, as an
+    iterator.  A normal form gamma = (kind, rate) gives row n as one
+    `_line_translate`, exact in the line coordinate.  An element gamma gives
+    it as one `compose_with_moebius` of row n - 1 by gamma^-1: gamma^n itself
+    is hopeless for large n, its entries growing like lam^(n/2) while the unit
+    determinant cancels away."""
+    if isinstance(gamma, MoebiusElement):
+        inverses = itertools.repeat(moebius.inverse(gamma), n_max)
+        return itertools.accumulate(inverses, compose_with_moebius, initial=f)
+    kind, rate = gamma
+    if kind == "hyperbolic" and not rate > 0.0:
+        raise NotHyperbolicError(f"multiplier {rate} must be positive")
+    return itertools.chain([f], (_line_translate(f, kind, rate, n) for n in range(1, n_max + 1)))
 
 
 def _arc_of_line_interval(lo: float, hi: float) -> Arc:

@@ -22,7 +22,9 @@ import numpy as np
 
 from . import _numtext, chaos, foliation, moebius, poisson
 from .arcspace import Arc, act_arc
-from .boundary import BoundaryFunction, TWO_PI, compose_with_moebius, indicator
+from .boundary import BoundaryFunction, TWO_PI, indicator
+# bound here for perfbench/test_perfbench.py::test_every_binding_is_wrapped_and_restored
+from .boundary import compose_with_moebius  # noqa: F401
 from .poisson import CompactExhaustion, HarmonicFunction
 
 
@@ -139,7 +141,10 @@ def _normal_form(args, suffix="") -> tuple[str, float]:
     return ("hyperbolic", lam) if shift is None else ("parabolic", shift)
 
 
-def _element_from_args(args, suffix="") -> moebius.MoebiusElement:
+def _element_from_args(args, suffix="", line=False):
+    """The MoebiusElement of --alpha/--beta or of the normal form; with `line`,
+    a normal form comes back as its (kind, rate), which acts in the line
+    coordinate."""
     alpha = getattr(args, "alpha" + suffix)
     beta = getattr(args, "beta" + suffix)
     if alpha is not None or beta is not None:
@@ -149,6 +154,8 @@ def _element_from_args(args, suffix="") -> moebius.MoebiusElement:
             raise UsageError(f"--alpha/--beta exclude --lambda{suffix} and --shift{suffix}")
         return moebius.MoebiusElement(alpha, beta)
     kind, rate = _normal_form(args, suffix)
+    if line:
+        return kind, rate
     if kind == "hyperbolic":
         return moebius.hyperbolic_multiplier(rate)
     return moebius.parabolic_shift(rate)
@@ -194,21 +201,16 @@ def cmd_extend(args) -> int:
 
 def cmd_act(args) -> int:
     f = _load_boundary(args.boundary)
-    g = _element_from_args(args)
-    moved = compose_with_moebius(f, moebius.inverse(g))
+    *_, moved = chaos.translates(f, _element_from_args(args, line=True), 1)
     _save_boundary(args.out, moved, _config_dict("act", args))
     return 0
 
 
 def cmd_orbit(args) -> int:
     f = _load_boundary(args.boundary)
-    g = _element_from_args(args)
     ex = CompactExhaustion()
     rows = []
-    fn = f
-    for n in range(args.steps + 1):
-        if n > 0:
-            fn = compose_with_moebius(fn, moebius.inverse(g))
+    for n, fn in enumerate(chaos.translates(f, _element_from_args(args, line=True), args.steps)):
         val, bar = poisson.metric_norm(HarmonicFunction(fn), ex)
         m = fn.mean()
         rows.append((n, val, bar, m.real, m.imag))
@@ -221,8 +223,7 @@ def cmd_orbit(args) -> int:
 def cmd_dense(args) -> int:
     kind, rate = _normal_form(args)
     family = chaos.TargetFamily.generate(args.levels, args.seed)
-    make = chaos.make_schedule if kind == "hyperbolic" else chaos.make_parabolic_schedule
-    rows = chaos.dense_orbit_report(family, make(rate, args.levels))
+    rows = chaos.dense_orbit_report(family, chaos.schedule(kind, rate, args.levels))
     columns = zip(*((r.n, r.k, r.dist, r.bound, r.error_bar) for r in rows))
     _write_csv(args.out, "dense", args, ["n", "k_n", "dist", "bound", "error_bar"], columns)
     return 0 if all(r.ok for r in rows) else 2
@@ -330,8 +331,14 @@ def cmd_projective(args) -> int:
 
 def cmd_limit(args) -> int:
     f = _load_boundary(args.boundary)
-    g = _element_from_args(args)
-    rows = poisson.limit_diagnostic(f, g, args.nmax)
+    gamma = _element_from_args(args, line=True)
+    if isinstance(gamma, moebius.MoebiusElement):
+        kind = moebius.classify(gamma).value
+    else:  # a normal form pushes orbits to the boundary unless it is the identity
+        kind = "identity" if gamma in (("hyperbolic", 1.0), ("parabolic", 0.0)) else gamma[0]
+    if kind not in ("hyperbolic", "parabolic"):
+        raise poisson.NonDivergentError(f"{kind} element does not push orbits to the boundary")
+    rows = poisson.limit_diagnostic(chaos.translates(f, gamma, args.nmax))
     columns = zip(*((n, osc, v.real, v.imag) for n, osc, v in rows))
     _write_csv(args.out, "limit", args, ["n", "oscillation", "value_re", "value_im"], columns)
     return 0
@@ -353,13 +360,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="extend")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("act", help="apply a group element to boundary data")
+    p = sub.add_parser("act", help="f o gamma^-1; --lambda/--shift act on the line coordinate")
     p.add_argument("--boundary", required=True)
     _add_element_flags(p)
     p.add_argument("--out", default="act.json")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("orbit", help="orbit diagnostics of the Z-action")
+    p = sub.add_parser("orbit", help="norm and mean of f o gamma^-n, n = 0..steps")
     p.add_argument("--boundary", required=True)
     _add_element_flags(p)
     p.add_argument("--steps", type=_count(0), default=20)
@@ -413,7 +420,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="projective.csv")
     p.set_defaults(func=cmd_projective)
 
-    p = sub.add_parser("limit", help="iterate-to-constant diagnostic table")
+    p = sub.add_parser("limit", help="iterate-to-constant table of f o gamma^-n, gamma divergent")
     p.add_argument("--boundary", required=True)
     _add_element_flags(p)
     p.add_argument("--nmax", type=_count(0), default=40)

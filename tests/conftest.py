@@ -1,7 +1,9 @@
-"""Shared fixtures: seeded generators, random group elements, quadrature oracle."""
+"""Shared fixtures: seeded generators, random group elements, quadrature and
+line-image oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,6 +42,63 @@ def random_boundary(rng, n_pieces=None):
         br = np.sort(rng.uniform(0.0, TWO_PI, n))
     vals = rng.uniform(-0.7, 0.7, n) + 1j * rng.uniform(-0.7, 0.7, n)
     return BoundaryFunction(br, vals)
+
+
+def seeded_cut_data(seed: int, n_pieces: int) -> BoundaryFunction:
+    """n_pieces random cuts, two of them at 0 and at pi, with random values in
+    the unit disc."""
+    rng = np.random.default_rng(seed)
+    br = np.concatenate(([0.0, math.pi], rng.uniform(0.0, TWO_PI, n_pieces - 2)))
+    vals = np.sqrt(rng.uniform(0.0, 1.0, n_pieces)) * np.exp(1j * rng.uniform(0.0, TWO_PI, n_pieces))
+    return BoundaryFunction(br, vals)
+
+
+def line_images(br, kind: str, rate: float, n: int):
+    """60-digit angles of gamma^n(s) for the cuts s, gamma^n acting on the line
+    x = tan(s/2) as x -> rate^n x (hyperbolic) or x + n rate (parabolic), and
+    per cut the conditioning (1 + x^2)/(1 + x'^2) of that map in angles.  The
+    cut at the double pi is the point at infinity, as `angle_to_line` has it."""
+    images, cond = [], []
+    with mpmath.workdps(60):
+        for s in br:
+            if s == math.pi:
+                images.append(+mpmath.pi)
+                cond.append(1.0)
+                continue
+            x = mpmath.tan(mpmath.mpf(s) / 2)
+            r = mpmath.mpf(rate)
+            y = x * r**n if kind == "hyperbolic" else x + n * r
+            images.append(mpmath.fmod(2 * mpmath.atan(y) + 2 * mpmath.pi, 2 * mpmath.pi))
+            cond.append(float((1 + x * x) / (1 + y * y)))
+    return images, np.array(cond)
+
+
+def worst_cut_error(cuts, images, cond) -> float:
+    """Largest cyclic distance from a cut to the nearest of the 60-digit images,
+    each image's distance divided by max(1, its conditioning)."""
+    near = np.array([float(v) for v in images])
+    scale = np.maximum(1.0, cond)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for c in cuts:
+            d = np.abs(np.mod(c - near + math.pi, TWO_PI) - math.pi)
+            errs = []
+            for j in np.flatnonzero(d <= d.min() + 1e-12):
+                e = mpmath.fmod(mpmath.mpf(c) - images[j] + 3 * mpmath.pi, 2 * mpmath.pi) - mpmath.pi
+                errs.append(float(abs(e)) / scale[j])
+            worst = max(worst, min(errs))
+    return worst
+
+
+def line_image_mean(f: BoundaryFunction, images) -> complex:
+    """Mean of f o gamma^-n from the 60-digit images of f's sorted cuts: value
+    j holds on the arc from image j to image j + 1, cyclically."""
+    with mpmath.workdps(60):
+        total = mpmath.mpc(0)
+        for j, v in enumerate(f.values):
+            w = mpmath.fmod(images[(j + 1) % len(images)] - images[j] + 2 * mpmath.pi, 2 * mpmath.pi)
+            total += w * mpmath.mpc(v.real, v.imag)
+        return complex(total / (2 * mpmath.pi))
 
 
 def poisson_quad(f: BoundaryFunction, z: complex) -> complex:

@@ -42,15 +42,16 @@ from discdyn import (
     inverse,
     l1_norm,
     limit_diagnostic,
-    make_schedule,
     metric_norm,
     parabolic_shift,
     projective_act,
     projective_f,
     random_projective_point,
     relation_residual,
+    schedule,
     short_word_scan,
     to_half_plane,
+    translates,
 )
 
 from conftest import poisson_quad_grid, random_boundary, random_element, record_criterion
@@ -134,7 +135,7 @@ def test_metric_dominated_by_boundary_l1():
 def test_dense_orbit_certificate():
     t0 = time.perf_counter()
     fam = TargetFamily.generate(8, seed=5)
-    rows = dense_orbit_report(fam, make_schedule(2.0, 8), n_levels=6)
+    rows = dense_orbit_report(fam, schedule("hyperbolic", 2.0, 8), n_levels=6)
     elapsed = time.perf_counter() - t0
     certified = all(r.dist <= r.bound + r.error_bar for r in rows if 2 <= r.n <= 6)
     bounds = [r.bound for r in rows if 2 <= r.n <= 6]
@@ -174,7 +175,6 @@ def test_periodic_point_certificate():
 
 
 def test_iterates_flatten_smooth_data():
-    g = hyperbolic_multiplier(2.0)
     s = np.linspace(0, TWO_PI, 720, endpoint=False)
     first_hits = []
     for trial in range(5):
@@ -186,7 +186,7 @@ def test_iterates_flatten_smooth_data():
             + 0.25j * np.cos(s + rng.uniform(0, 6))
         )
         vals = vals / max(1.0, float(np.max(np.abs(vals))))
-        rows = limit_diagnostic(BoundaryFunction(s, vals), g, 60)
+        rows = limit_diagnostic(translates(BoundaryFunction(s, vals), ("hyperbolic", 2.0), 60))
         first_hits.append(next((n for n, osc, _ in rows if osc < 1e-2), None))
     ok = all(h is not None and h <= 60 for h in first_hits)
     _verdict(

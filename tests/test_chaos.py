@@ -24,31 +24,39 @@ from discdyn import (
     hyperbolic_multiplier,
     inverse,
     line_to_angle,
-    make_parabolic_schedule,
-    make_schedule,
     metric_distance,
     parabolic_shift,
     rotation,
+    schedule,
     translate_boundary,
 )
+from discdyn import chaos
 from discdyn.chaos import DenseOrbitSchedule
 
-from conftest import random_boundary, random_element
+from conftest import (
+    line_image_mean,
+    line_images,
+    random_boundary,
+    random_element,
+    seeded_cut_data,
+    worst_cut_error,
+)
 
 TWO_PI = 2.0 * math.pi
 
 
 class TestSchedules:
     def test_frozen_exponents(self):
-        assert make_schedule(2.0, 4).ks == (1, 3, 6, 10)
-        assert make_schedule(10.0, 3).ks == (1, 2, 3)
-        assert make_parabolic_schedule(1.0, 4).ks == (1, 5, 11, 19)
+        assert schedule("hyperbolic", 2.0, 4).ks == (1, 3, 6, 10)
+        assert schedule("hyperbolic", 10.0, 3).ks == (1, 2, 3)
+        assert schedule("parabolic", 1.0, 4).ks == (1, 5, 11, 19)
 
     def test_gaps_are_minimal(self):
         # shrinking any gap by one violates the separation inequality, for
         # multipliers and for shifts that do not divide 2n + 1
-        for sched in (make_schedule(2.0, 4), make_schedule(1.01, 5), make_parabolic_schedule(1.0, 5),
-                      make_parabolic_schedule(0.3, 5), make_parabolic_schedule(3.5, 5)):
+        for sched in (schedule("hyperbolic", 2.0, 4), schedule("hyperbolic", 1.01, 5),
+                      schedule("parabolic", 1.0, 5), schedule("parabolic", 0.3, 5),
+                      schedule("parabolic", 3.5, 5)):
             for i in range(1, len(sched.ks)):
                 ks = list(sched.ks)
                 ks[i] -= 1
@@ -58,18 +66,18 @@ class TestSchedules:
                     DenseOrbitSchedule(sched.kind, sched.rate, tuple(ks)).check()
 
     def test_check_passes_for_built_schedules(self):
-        make_schedule(2.0, 6).check()
-        make_schedule(3.5, 5).check()
-        make_parabolic_schedule(1.0, 5).check()
-        make_parabolic_schedule(0.3, 4).check()
+        schedule("hyperbolic", 2.0, 6).check()
+        schedule("hyperbolic", 3.5, 5).check()
+        schedule("parabolic", 1.0, 5).check()
+        schedule("parabolic", 0.3, 4).check()
 
     def test_windows_nested_decreasing(self):
-        sched = make_schedule(2.0, 5)
+        sched = schedule("hyperbolic", 2.0, 5)
         for n in range(1, 5):
             assert sched.b(n + 1) < sched.a(n)
 
     def test_parabolic_windows_disjoint(self):
-        sched = make_parabolic_schedule(1.0, 5)
+        sched = schedule("parabolic", 1.0, 5)
         for n in range(1, 5):
             lo_next, _ = sched.window(n + 1)
             _, hi = sched.window(n)
@@ -77,21 +85,21 @@ class TestSchedules:
 
     def test_rejects_bad_rates(self):
         with pytest.raises(NotHyperbolicError):
-            make_schedule(1.0, 3)
+            schedule("hyperbolic", 1.0, 3)
         with pytest.raises(NotHyperbolicError):
-            make_schedule(0.5, 3)
+            schedule("hyperbolic", 0.5, 3)
         with pytest.raises(NotParabolicError):
-            make_parabolic_schedule(0.0, 3)
+            schedule("parabolic", 0.0, 3)
         with pytest.raises(NotParabolicError):
-            make_parabolic_schedule(-1.0, 3)
+            schedule("parabolic", -1.0, 3)
         # a one-level schedule has no gap to search, but its rate is checked
         with pytest.raises(NotHyperbolicError):
-            make_schedule(0.5, 1)
+            schedule("hyperbolic", 0.5, 1)
         with pytest.raises(NotParabolicError):
-            make_parabolic_schedule(0.0, 1)
+            schedule("parabolic", 0.0, 1)
         # gaps past 2^52 cannot be stepped exactly as doubles
         with pytest.raises(ResolutionError):
-            make_parabolic_schedule(1e-17, 3)
+            schedule("parabolic", 1e-17, 3)
 
 
 class TestTargetFamily:
@@ -131,12 +139,12 @@ class TestTargetFamily:
 class TestDenseSeed:
     def test_level_one_window_is_degenerate(self):
         # [1/n, n] collapses to a point for n = 1; that level carries nothing
-        sched = make_schedule(2.0, 3)
+        sched = schedule("hyperbolic", 2.0, 3)
         assert sched.a(1) == sched.b(1)
 
     def test_agrees_with_rescaled_targets_on_windows(self):
         fam = TargetFamily.generate(4, 7)
-        sched = make_schedule(2.0, 4)
+        sched = schedule("hyperbolic", 2.0, 4)
         seed = build_dense_seed(fam, sched).boundary
         for n in range(2, 5):
             k = sched.ks[n - 1]
@@ -148,7 +156,7 @@ class TestDenseSeed:
 
     def test_zero_between_windows(self):
         fam = TargetFamily.generate(3, 7)
-        sched = make_schedule(2.0, 3)
+        sched = schedule("hyperbolic", 2.0, 3)
         seed = build_dense_seed(fam, sched).boundary
         gap = 0.5 * (sched.b(2) + sched.a(1))  # strictly between windows 2 and 1
         assert seed.evaluate(line_to_angle(gap)) == 0.0
@@ -156,7 +164,7 @@ class TestDenseSeed:
 
     def test_unrepresented_shrinks_with_level(self):
         fam = TargetFamily.generate(6, 7)
-        sched = make_schedule(2.0, 6)
+        sched = schedule("hyperbolic", 2.0, 6)
         lens = [
             build_dense_seed(fam, sched, level).unrepresented_length()
             for level in (2, 4, 6)
@@ -167,20 +175,20 @@ class TestDenseSeed:
 class TestDenseCertificate:
     def test_hyperbolic_rows_certified(self):
         fam = TargetFamily.generate(4, 1)
-        rows = dense_orbit_report(fam, make_schedule(2.0, 4))
+        rows = dense_orbit_report(fam, schedule("hyperbolic", 2.0, 4))
         assert all(r.ok for r in rows)
         bounds = [r.bound for r in rows]
         assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_parabolic_rows_certified(self):
         fam = TargetFamily.generate(3, 2)
-        rows = dense_orbit_report(fam, make_parabolic_schedule(1.0, 3))
+        rows = dense_orbit_report(fam, schedule("parabolic", 1.0, 3))
         assert all(r.ok for r in rows)
 
     def test_swapping_in_a_fresh_target_still_certifies(self):
         # the certificate is about window coverage, not the specific target
         fam = TargetFamily.generate(3, 1).replaced(1, BoundaryFunction.constant(0.5))
-        rows = dense_orbit_report(fam, make_schedule(2.0, 3))
+        rows = dense_orbit_report(fam, schedule("hyperbolic", 2.0, 3))
         assert all(r.ok for r in rows)
 
 
@@ -215,11 +223,9 @@ class TestDeepDenseOrbits:
 
     @pytest.mark.parametrize("lam, levels", [(10.0, 8), (2.0, 12), (3.0, 14)])
     def test_translates_match_the_reference(self, lam, levels):
-        from discdyn import chaos
-
         with mpmath.workdps(50):
             fam = TargetFamily.generate(levels, 7)
-            sched = make_schedule(lam, levels)
+            sched = schedule("hyperbolic", lam, levels)
             windows = chaos._dense_windows(fam, sched, levels)
             rows = dense_orbit_report(fam, sched)
             ex = CompactExhaustion()
@@ -261,6 +267,58 @@ class TestTranslate:
         b = translate_boundary(f, g)
         d, _ = metric_distance(a, b, CompactExhaustion(n_max=10))
         assert d == 0.0
+
+
+class TestLineTranslate:
+    """Row n of a normal form's orbit, f o gamma^-n, is one pull-back whose cut
+    map is gamma^n on the line."""
+
+    @pytest.mark.parametrize(
+        "kind, rate, n",
+        [("hyperbolic", 1.0001, 20000), ("hyperbolic", 1.001, 2000), ("hyperbolic", 1e-14, 1),
+         ("hyperbolic", 1e-14, 2), ("hyperbolic", 1e17, 1), ("hyperbolic", 1e17, 2),
+         ("hyperbolic", 1e-300, 1), ("parabolic", 1e-3, 1), ("parabolic", 1e-3, 2000),
+         ("parabolic", 1e-3, 20000),
+         # rate^n overflows to inf and underflows to 0, in extended precision
+         # too: 0 and pi stay put
+         ("hyperbolic", 1e300, 20), ("hyperbolic", 1e-300, 20)],
+    )
+    def test_cuts_match_mpmath(self, kind, rate, n):
+        # each cut within 1e-15 of its 60-digit image, scaled by the map's own
+        # conditioning: with shift 1e-3 at n = 20000 one ulp of tan(s/2)
+        # already moves a cut by 2e-15
+        for seed, pieces in enumerate((2, 3, 5, 8, 16, 32, 64)):
+            f = seeded_cut_data(seed, pieces)
+            images, cond = line_images(f.breakpoints, kind, rate, n)
+            g = chaos._line_translate(f, kind, rate, n)
+            assert worst_cut_error(g.breakpoints, images, cond) <= 1e-15
+            assert abs(g.mean() - line_image_mean(f, images)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "kind, rate",
+        [("hyperbolic", 0.5), ("hyperbolic", 2.0), ("hyperbolic", 3.0), ("parabolic", 1.0),
+         ("parabolic", -1.0)],
+    )
+    def test_matches_composing_the_element(self, kind, rate):
+        # catches gamma^n taken for gamma^-n, and the parabolic sign `_moved` flips
+        g = hyperbolic_multiplier(rate) if kind == "hyperbolic" else parabolic_shift(rate)
+        for seed, pieces in enumerate((2, 3, 7, 16, 64)):
+            f = seeded_cut_data(100 + seed, pieces)
+            rows = zip(chaos.translates(f, (kind, rate), 12), chaos.translates(f, g, 12))
+            for n, (line, element) in enumerate(rows):
+                assert line.allclose(element, tol=1e-12), (seed, n)
+
+    def test_overflow_stays_silent_and_local(self):
+        f = seeded_cut_data(3, 8)
+        chaos._line_translate(f, "hyperbolic", 1e300, 20)
+        pieces = (np.array([1.0]), np.array([2.0]), np.array([0.5 + 0j]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            chaos._moved(pieces, "hyperbolic", 1e200, np.array([2.0]))
+
+    @pytest.mark.parametrize("rate", [0.0, -2.0])
+    def test_multiplier_must_be_positive(self, rate):
+        with pytest.raises(NotHyperbolicError):
+            next(chaos.translates(BoundaryFunction([0.0], [0.5]), ("hyperbolic", rate), 1))
 
 
 class TestPeriodicApproximant:

@@ -7,6 +7,8 @@ import pytest
 from discdyn import BoundaryFunction, cli
 from discdyn.cli import _build_parser, main
 
+from conftest import line_image_mean, line_images, seeded_cut_data, worst_cut_error
+
 
 @pytest.fixture
 def bdry(tmp_path, monkeypatch):
@@ -222,7 +224,10 @@ class TestFoliate:
            ["conjugate", "--alpha1", "(1+0.014736396890952236j)",
             "--beta1", "(-2.3905587909210686e-05+0.014736377500944415j)", "--shift2", "1"],
            ["conjugate", "--alpha1", "(1.0000000006517336+0.009100889922343883j)",
-            "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"]],
+            "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"],
+           # a multiplier is positive
+           ["act", "--boundary", "f.json", "--lambda", "-2"],
+           ["act", "--boundary", "f.json", "--lambda", "0"]],
     )
     def test_bad_input_exits_one_with_a_message(self, bdry, tmp_path, capsys, flags):
         assert main([*flags, "--out", "bad"]) == 1
@@ -330,8 +335,9 @@ class TestExitCodes:
         "flag, rate", [("--lambda", "1e17"), ("--lambda", "1e-17"), ("--shift", "1e9")]
     )
     def test_rate_beyond_double_resolution(self, bdry, tmp_path, capsys, flag, rate):
-        # |alpha|^2 - |beta|^2 of the normal form cancels to 0 in doubles
-        assert main(["act", "--boundary", "f.json", flag, rate, "--out", "g.json"]) == 1
+        # |alpha|^2 - |beta|^2 of the normal form cancels to 0 in doubles;
+        # arcflow still forms the element
+        assert main(["arcflow", flag, rate, "--out", "g.json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.splitlines()) == 1 and repr(float(rate)) in err
@@ -339,6 +345,44 @@ class TestExitCodes:
 
     def test_validation_gate_exits_two(self, bdry):
         assert main(["projective", "--samples", "50", "--tol", "1e-18"]) == 2
+
+
+class TestNormalFormRates:
+    @pytest.mark.parametrize(
+        "flag, rate", [("--lambda", "1e17"), ("--lambda", "1e-17"), ("--shift", "1e9")]
+    )
+    def test_far_rates_match_mpmath(self, bdry, tmp_path, flag, rate):
+        # no element is formed: rates whose element cancels in doubles act exactly
+        f = seeded_cut_data(11, 12)
+        (tmp_path / "c.json").write_text(f.to_json())
+        kind = "hyperbolic" if flag == "--lambda" else "parabolic"
+        images = [line_images(f.breakpoints, kind, float(rate), n) for n in range(3)]
+        common = ["--boundary", "c.json", flag, rate]
+        assert main(["act", *common, "--out", "a.json"]) == 0
+        g = BoundaryFunction.from_json((tmp_path / "a.json").read_text())
+        assert worst_cut_error(g.breakpoints, *images[1]) <= 1e-15
+        assert main(["orbit", *common, "--steps", "2", "--out", "o.csv"]) == 0
+        assert main(["limit", *common, "--nmax", "2", "--out", "l.csv"]) == 0
+        for name, column in (("o.csv", 3), ("l.csv", 2)):
+            rows = [[float(x) for x in r.split(",")] for r in _data_rows(tmp_path / name)]
+            assert [r[0] for r in rows] == [0, 1, 2]
+            for n, r in enumerate(rows):
+                mean = line_image_mean(f, images[n][0])
+                assert abs(complex(r[column], r[column + 1]) - mean) <= 1e-13, (name, n)
+
+
+class TestLimitDiagnostic:
+    def test_elliptic_rejected(self, bdry, tmp_path, capsys):
+        # only a divergent gamma pushes orbits to the boundary: not a rotation,
+        # not multiplier 1 or shift 0
+        rotation = ["--alpha", repr(complex(math.cos(0.2), math.sin(0.2))), "--beta", "0"]
+        for flags in (rotation, ["--lambda", "1"], ["--shift", "0"]):
+            assert main(["limit", "--boundary", "f.json", *flags, "--out", "l.csv"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+        # a multiplier within 1e-9 of 1 is hyperbolic as a rate, if not as an element
+        assert main(["limit", "--boundary", "f.json", "--lambda", "1.000000001"]) == 0
 
 
 class TestReproducibility:

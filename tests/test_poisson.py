@@ -18,7 +18,6 @@ from discdyn import (
     CompactExhaustion,
     HarmonicFunction,
     NearBoundaryError,
-    NonDivergentError,
     extend,
     extend_many,
     hyperbolic_multiplier,
@@ -27,8 +26,8 @@ from discdyn import (
     limit_diagnostic,
     metric_distance,
     metric_norm,
-    rotation,
     translate_boundary,
+    translates,
 )
 from discdyn import poisson
 
@@ -546,16 +545,12 @@ class TestLimitDiagnostic:
         br = np.arange(360) * (TWO_PI / 360)
         vals = 0.5 * np.cos(br + TWO_PI / 720)
         f = BoundaryFunction(br, vals.astype(complex))
-        rows = limit_diagnostic(f, hyperbolic_multiplier(2.0), 30)
+        rows = limit_diagnostic(translates(f, hyperbolic_multiplier(2.0), 30))
         osc = [o for (_, o, _) in rows]
         assert osc[-1] < 1e-2 < osc[0]
 
     def test_rows_shape_and_center_tracking(self, rng):
         f = random_boundary(rng)
-        rows = limit_diagnostic(f, hyperbolic_multiplier(3.0), 5)
+        rows = limit_diagnostic(translates(f, ("hyperbolic", 3.0), 5))
         assert [r[0] for r in rows] == list(range(6))
         assert abs(rows[0][2] - f.mean()) < 1e-13
-
-    def test_elliptic_rejected(self, rng):
-        with pytest.raises(NonDivergentError):
-            limit_diagnostic(random_boundary(rng), rotation(0.4), 5)
