@@ -18,6 +18,10 @@ alternation times every op on both sides, in an order that swaps from one
 alternation to the next.  Both sides see the same machine state, so this
 separates small per-op changes that separate-process pairs lose in the
 machine's own drift; it supplements those pairs and does not replace them.
+The tree imported first can run faster or slower for that alone, so half
+the alternations run in a child interpreter that imports the parent first
+and half in one that imports the change first, one child after the other;
+the script prints each order's speed-up and wins next to the pooled figures.
 
 Example:
     python3 scripts/ab_inprocess.py ../parent . --ops 200 --alternations 20 --seed 4321
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -175,6 +180,47 @@ def quartiles(xs):
     return q[0], statistics.median(xs), q[2]
 
 
+def _alternate(args, first: str, alternations: int) -> tuple[dict, list, list]:
+    """With the tree of side `first` imported first: each side's seconds per
+    op in each alternation; per op, whether both sides' outputs are
+    identical; and for `metric`, per op |value gap| / (sum of bars)."""
+    make, run = OPS[args.op]
+    order = [first, ({"parent", "change"} - {first}).pop()]
+    sides = {name: load(getattr(args, name)) for name in order}
+    per_op = {name: [] for name in ("parent", "change")}
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = make(args.ops, args.seed, tmp)
+        outdirs = {name: os.path.join(tmp, name) for name in sides}
+        for name, pkg in sides.items():  # warm-up, untimed
+            os.mkdir(outdirs[name])
+            run(pkg, ops[:4], outdirs[name])
+        for i in range(alternations):
+            for name in per_op if i % 2 == 0 else list(per_op)[::-1]:
+                seconds, results[name] = run(sides[name], ops, outdirs[name])
+                per_op[name].append(seconds / len(ops))
+    pairs = list(zip(results["parent"], results["change"]))
+    gaps = [abs(a[0] - b[0]) / (a[1] + b[1]) if a != b else 0.0
+            for a, b in pairs] if args.op == "metric" else []
+    return per_op, [a == b for a, b in pairs], gaps
+
+
+def _in_child(args, first: str, alternations: int) -> tuple[dict, list, list]:
+    """`_alternate` in a new interpreter, so that nothing it imports stays in this one."""
+    code = ("import argparse, json, sys; sys.path.insert(0, sys.argv[1]); import ab_inprocess as ab; "
+            "print(json.dumps(ab._alternate(argparse.Namespace(**json.loads(sys.argv[2])), "
+            "sys.argv[3], int(sys.argv[4]))))")
+    argv = [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)),
+            json.dumps(vars(args)), first, str(alternations)]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _speedup(per_op) -> tuple[int, float]:
+    wins = sum(c < p for p, c in zip(per_op["parent"], per_op["change"]))
+    return wins, statistics.median(per_op["parent"]) / statistics.median(per_op["change"])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -186,34 +232,24 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=4321)
     args = ap.parse_args(argv)
 
-    make, run = OPS[args.op]
-    sides = {"parent": load(args.parent), "change": load(args.change)}
-    per_op = {name: [] for name in sides}
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        ops = make(args.ops, args.seed, tmp)
-        outdirs = {name: os.path.join(tmp, name) for name in sides}
-        for name, pkg in sides.items():  # warm-up, untimed
-            os.mkdir(outdirs[name])
-            run(pkg, ops[:4], outdirs[name])
-        for i in range(args.alternations):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            for name in order:
-                seconds, results[name] = run(sides[name], ops, outdirs[name])
-                per_op[name].append(seconds / len(ops))
-    wins = sum(c < p for p, c in zip(per_op["parent"], per_op["change"]))
+    half = (args.alternations + 1) // 2
+    orders = {"parent": half, "change": args.alternations - half}
+    runs = {first: _in_child(args, first, n) for first, n in orders.items() if n}
+    per_op = {name: [t for r in runs.values() for t in r[0][name]] for name in ("parent", "change")}
     for name, times in per_op.items():
         q1, med, q3 = quartiles(times)
         print(f"{name}: per op median {med * 1e3:.4f} ms, quartiles {q1 * 1e3:.4f}-{q3 * 1e3:.4f} ms")
-    speedup = statistics.median(per_op["parent"]) / statistics.median(per_op["change"])
+    wins, speedup = _speedup(per_op)
     print(f"change wins {wins}/{args.alternations}, speed-up x{speedup:.3f}")
-    same = sum(a == b for a, b in zip(results["parent"], results["change"]))
+    for first, (times, _, _) in runs.items():
+        w, s = _speedup(times)
+        print(f"  {first} imported first: change wins {w}/{orders[first]}, speed-up x{s:.3f}")
+    same = sum(all(t) for t in zip(*[r[1] for r in runs.values()]))  # identical in both orders
     if args.op != "metric":
-        print(f"identical (exit code, CSV, JSON): {same}/{len(ops)}")
-        return 0 if same == len(ops) or args.op != "foliate" else 1
-    apart = max(abs(a[0] - b[0]) / (a[1] + b[1]) if a != b else 0.0
-                for a, b in zip(results["parent"], results["change"]))
-    print(f"identical (value, bar): {same}/{len(ops)}; largest |value gap| / (sum of bars): {apart:.3g}")
+        print(f"identical (exit code, CSV, JSON): {same}/{args.ops}")
+        return 0 if same == args.ops or args.op != "foliate" else 1
+    apart = max(g for r in runs.values() for g in r[2])
+    print(f"identical (value, bar): {same}/{args.ops}; largest |value gap| / (sum of bars): {apart:.3g}")
     return 0 if apart <= 1.0 else 1
 
 

@@ -6,7 +6,11 @@ and `dense` covers the rates --lambda 0.5, 2, 1e-7, 1e7, 1e-14, 1e17, 1e-300
 and --shift -3, 1e9, random elements given as --alpha/--beta, and boundary
 files of 2 to 64 pieces, a third of them with a cut at angle 0, plus the
 two-piece file with cuts 0 and 6.28; one `limit --lambda 1.001 --nmax 500`
-run follows a long orbit.  Both trees are imported into this process
+run follows a long orbit.  Every other command that writes numbers runs
+too: `foliate --points 500` at word lengths 4, 12 and 40 from base arcs of
+length 1e-3, pi and 2pi - 1e-3, whose short and near-full arcs print with
+2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`
+and one `projective`.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output
@@ -88,6 +92,12 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
         runs.append(["periodic", *bdry(("edge", "p02", "p03")[i % 3]), *r, "--epsilon", "0.3"])
         runs.append(["dense", *r, "--levels", "3"])
     runs.append(["limit", *bdry(names[5]), "--lambda", "1.001", "--nmax", "500"])
+    for length in ("4", "12", "40"):
+        for theta in ("0.001", repr(math.pi), repr(TWO_PI - 1e-3)):
+            runs.append(["foliate", "--points", "500", "--max-word-len", length, "--base-theta", theta])
+    runs.append(["extend", *bdry(names[4]), "--grid", "32"])
+    runs.append(["arcflow", "--lambda", "2", "--base-theta", "1e-07", "--steps", "200"])
+    runs.append(["projective"])
     return runs
 
 

@@ -68,15 +68,12 @@ def _echo_pairs(args) -> list[tuple[str, str]]:
 def _write_csv(path, title, args, names, columns):
     """One line per row of the equal-length `columns`, each cell as its
     column's `_numtext.cells` text ("%d" or "%.17g")."""
-    cells = [_numtext.cells(c) for c in columns]
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# discdyn {title}\n")
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in _echo_pairs(args)) + "\n")
-        fh.write(",".join(names) + "\n")
-        if cells:
-            parts = [p for c in cells for p in (c, b",")]
-            parts[-1] = b"\n"
-            fh.write(_numtext.join(parts).decode("ascii"))
+    columns = list(columns)
+    echo = " ".join(f"{k}={v}" for k, v in _echo_pairs(args))
+    with open(path, "wb") as fh:
+        fh.write(f"# discdyn {title}\n# {echo}\n{','.join(names)}\n".encode())
+        if columns:
+            fh.write(_numtext.table(columns))
 
 
 def _write_json(path, obj):
