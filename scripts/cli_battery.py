@@ -10,7 +10,9 @@ run follows a long orbit.  Every other command that writes numbers runs
 too: `foliate --points 500` at word lengths 4, 12 and 40 from base arcs of
 length 1e-3, pi and 2pi - 1e-3, whose short and near-full arcs print with
 2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`
-and one `projective`.  Both trees are imported into this process
+and one `projective`.  Last come `conjugate` runs of valid pairs that once
+exited 1 (`CONJUGATE_PAIRS`), on the default data and on one file; being
+last, they move no seeded draw.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output
@@ -19,7 +21,9 @@ when there is any.  A differing output is measured too:
 - `act` under --lambda/--shift: each side's worst cut, its distance to the
   nearest 60-digit `mpmath` image of an input cut;
 - `orbit`: the largest |norm gap| over the sum of both sides' bars;
-- `limit`: the largest gap of an oscillation or value.
+- `limit`: the largest gap of an oscillation or value;
+- `conjugate`: each side's exit code, exponent, residual and bar, and
+  whether residual <= tol + bar holds.
 The exit status is 0 when everything agrees and 1 otherwise.
 
 Example:
@@ -42,6 +46,16 @@ TWO_PI = 2.0 * math.pi
 RATES = ([["--lambda", x] for x in ("0.5", "2", "1e-07", "10000000", "1e-14", "1e17", "1e-300")]
          + [["--shift", "-3"], ["--shift", "1e9"]])
 PIECES = [2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64]
+CONJUGATE_PAIRS = [
+    ["--alpha1", "(1+0.014736396890952236j)",
+     "--beta1", "(-2.3905587909210686e-05+0.014736377500944415j)", "--shift2", "1"],
+    ["--alpha1", "(1.0000000006517336+0.009100889922343883j)",
+     "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"],
+    ["--alpha1", "(0.9999999998690328+3281.428150044824j)",
+     "--beta1", "(-51.109215683388584-3281.030105314309j)", "--shift2", "1"],
+    ["--lambda1", "1e7", "--lambda2", "2"],
+    ["--lambda1", "1e10", "--lambda2", "2"],
+]
 
 
 def _element(rng, suffix="") -> list[str]:
@@ -98,6 +112,8 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
     runs.append(["extend", *bdry(names[4]), "--grid", "32"])
     runs.append(["arcflow", "--lambda", "2", "--base-theta", "1e-07", "--steps", "200"])
     runs.append(["projective"])
+    for pair in CONJUGATE_PAIRS:
+        runs += [["conjugate", *pair], ["conjugate", *bdry(names[3]), *pair]]
     return runs
 
 
@@ -135,10 +151,24 @@ def _csv_rows(out) -> np.ndarray:
     return np.array(rows).reshape(len(rows), len(lines[0].split(",")))
 
 
-def measure(cuts, argv, key, out_a, out_b) -> str:
-    """What a differing --out file of `act`, `orbit` or `limit` moved by."""
+def conjugate_verdict(argv, rc, out) -> str:
+    """A `conjugate` run's exit code, exponent, residual and bar, and its gate."""
+    if out is None:
+        return f"exit {rc}"
+    doc, tol = json.loads(out), float(_flag(argv, "--tol") or 1e-9)
+    res, bar = doc["intertwine_residual"], doc["residual_bar"]
+    return (f"exit {rc}, exponent {doc['exponent']!r}, residual {res:.3g}, bar {bar:.3g}, "
+            f"residual <= tol + bar: {res <= tol + bar}")
+
+
+def measure(cuts, argv, key, rcs, out_a, out_b) -> str:
+    """What a differing --out file of `act`, `orbit`, `limit` or `conjugate`
+    moved by; rcs are the two exit codes."""
     if key != "":
         return ""
+    if argv[0] == "conjugate":
+        return (f"; parent {conjugate_verdict(argv, rcs[0], out_a)}; "
+                f"change {conjugate_verdict(argv, rcs[1], out_b)}")
     if argv[0] == "act" and "--alpha" not in argv:
         return (f"; worst cut vs mpmath: parent {worst_cut_error(cuts, argv, out_a)}, "
                 f"change {worst_cut_error(cuts, argv, out_b)}")
@@ -182,7 +212,7 @@ def main(argv=None) -> int:
         n_outputs += len(out_a.keys() | out_b.keys())
         for key in sorted(out_a.keys() | out_b.keys()):
             if out_a.get(key) != out_b.get(key):
-                gap = measure(cuts.get(_flag(runs[i], "--boundary")), runs[i], key,
+                gap = measure(cuts.get(_flag(runs[i], "--boundary")), runs[i], key, (a, b),
                               out_a.get(key), out_b.get(key))
                 lines.append(f"output differs: r{i:03d}{key or ' (--out)'}: {shown[i]}{gap}")
     n_equal = sum(a[0] == b[0] for a, b in zip(results["parent"], results["change"]))

@@ -63,21 +63,18 @@ from .foliation import (
 )
 from .moebius import (
     ElementClass,
-    HalfPlaneMatrix,
     InvalidMatrixError,
     MoebiusElement,
     act_disc,
     classify,
     compose,
-    fixed_points_line,
-    from_half_plane,
+    fixed_points,
     hyperbolic_multiplier,
     identity,
     inverse,
     multiplier,
     parabolic_shift,
     rotation,
-    to_half_plane,
 )
 from .poisson import (
     NORM_OF_ONE,

@@ -16,9 +16,12 @@ that number, never from an element read back.
 
 Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
-f -> f o h and intertwines the two translation actions.  h is the normal-form
-map between two normalizers, and the transport is one pull-back of the
-breakpoint array through h^-1, by the rule `compose_with_moebius` follows.
+f -> f o h and intertwines the two translation actions.  Each gamma is an
+element, whose normalizer c is read from its fixed points on the circle, or
+a normal form (kind, rate), whose c is the identity and whose rate is used
+as given.  h is the normal-form map between the two normalizers, and the
+transport is one pull-back of the breakpoint array through h^-1, by the rule
+`compose_with_moebius` follows.
 
 Windows are arrays (lo, hi, value) in the line coordinate x = tan(s/2), each
 target's pieces computed once; a translate term moves them by an exact scale
@@ -33,6 +36,7 @@ normal form's orbit the same way, row n by one exact scale or shift.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ from .boundary import (
     line_to_angle,
     wrap_angle,
 )
-from .moebius import ElementClass, MoebiusElement, ResolutionError
+from .moebius import MoebiusElement, ResolutionError
 from .poisson import CompactExhaustion, HarmonicFunction, metric_distance
 
 
@@ -255,6 +259,18 @@ def _line_translate(f: BoundaryFunction, kind: str, rate: float, n: int) -> Boun
     return _pull_back(f, lambda s: move(s, -n), lambda s: move(s, n))
 
 
+def class_of(gamma) -> str:
+    """The `ElementClass` value of an element, or of a normal form (kind,
+    rate): its kind, or "identity" for multiplier 1 or shift 0.  A multiplier
+    must be positive."""
+    if isinstance(gamma, MoebiusElement):
+        return moebius.classify(gamma).value
+    kind, rate = gamma
+    if kind == "hyperbolic" and not rate > 0.0:
+        raise NotHyperbolicError(f"multiplier {rate} must be positive")
+    return "identity" if rate == (1.0 if kind == "hyperbolic" else 0.0) else kind
+
+
 def translates(f: BoundaryFunction, gamma, n_max: int):
     """The rows f o gamma^-n for n = 0, 1, ..., n_max, f itself first, as an
     iterator.  A normal form gamma = (kind, rate) gives row n as one
@@ -265,9 +281,8 @@ def translates(f: BoundaryFunction, gamma, n_max: int):
     if isinstance(gamma, MoebiusElement):
         inverses = itertools.repeat(moebius.inverse(gamma), n_max)
         return itertools.accumulate(inverses, compose_with_moebius, initial=f)
+    class_of(gamma)  # rejects a multiplier that is not positive
     kind, rate = gamma
-    if kind == "hyperbolic" and not rate > 0.0:
-        raise NotHyperbolicError(f"multiplier {rate} must be positive")
     return itertools.chain([f], (_line_translate(f, kind, rate, n) for n in range(1, n_max + 1)))
 
 
@@ -508,47 +523,55 @@ def _assemble_periodic(f, epsilon, kind, rate) -> PeriodicApproximant:
 # --- conjugacy ---------------------------------------------------------------
 
 
-def _hyperbolic_normalizer(g: MoebiusElement) -> MoebiusElement:
-    """c with c(0) = expanding fixed point, c(inf) = contracting, c d c^-1 = g."""
-    e, f = moebius.fixed_points_line(g)
-    if math.isinf(e):
-        m = moebius.HalfPlaneMatrix.normalized(-f, 1.0, -1.0, 0.0)
-    elif math.isinf(f):
-        m = moebius.HalfPlaneMatrix.normalized(1.0, e, 0.0, 1.0)
-    else:
-        det = f - e
-        if det > 0.0:
-            m = moebius.HalfPlaneMatrix.normalized(f, e, 1.0, 1.0)
-        else:
-            m = moebius.HalfPlaneMatrix.normalized(-f, e, -1.0, 1.0)
-    c = moebius.from_half_plane(m)
-    d = moebius.hyperbolic_multiplier(moebius.multiplier(g))
-    check = moebius.compose(moebius.compose(c, d), moebius.inverse(c))
-    if check.distance_to(g) > 1e-9:
+def as_element(gamma) -> MoebiusElement:
+    """gamma itself, or the element of the normal form (kind, rate)."""
+    if isinstance(gamma, MoebiusElement):
+        return gamma
+    kind, rate = gamma
+    return moebius.hyperbolic_multiplier(rate) if kind == "hyperbolic" else moebius.parabolic_shift(rate)
+
+
+def _normalizer(g: MoebiusElement) -> tuple[MoebiusElement, float]:
+    """(c, rate) with c^-1 g c the normal form: x -> rate*x, c the disc map
+    taking 1 and -1 to the expanding and contracting fixed points, or
+    x -> x + rate, c the rotation taking -1 to the fixed point.  Each rate is
+    scale-free, so the stored pair's rounded determinant cancels: it is
+    `moebius.multiplier`, or 2 Im(alpha)/Re(alpha), as c^-1 g c keeps alpha,
+    a multiple of 1 + i*rate/2."""
+    e, f = moebius.fixed_points(g)
+    if e == f:
+        return moebius.rotation(cmath.phase(-e)), 2.0 * g.alpha.imag / g.alpha.real
+    # c = (a z + b)/(conj(b) z + conj(a)) has c(1) = (a + b)^2/|a + b|^2 and
+    # c(-1) = -(a - b)^2/|a - b|^2, and |a|^2 - |b|^2 = Re((a + b) conj(a - b))
+    se, sf = cmath.sqrt(e), cmath.sqrt(-f)
+    if (se * sf.conjugate()).real < 0.0:
+        sf = -sf
+    return MoebiusElement(se + sf, se - sf), moebius.multiplier(g)
+
+
+def _normalized(gamma, kind: str) -> tuple[MoebiusElement, float]:
+    """(c, rate) with gamma = c o N o c^-1 for N the normal form (kind, rate).
+    A normal form is its own, with c the identity and the rate as given.  For
+    an element, c o N o c^-1 must be gamma within 1e-9 |alpha|, as maps: each
+    pair is stored up to the scale its rounded determinant left."""
+    if not isinstance(gamma, MoebiusElement):
+        return moebius.identity(), gamma[1]
+    c, rate = _normalizer(gamma)
+    check = moebius.compose(moebius.compose(c, as_element((kind, rate))), moebius.inverse(c))
+    k = abs(gamma.alpha) / abs(check.alpha)
+    gap = max(abs(k * check.alpha - gamma.alpha), abs(k * check.beta - gamma.beta))
+    if not gap <= 1e-9 * abs(gamma.alpha):
         raise ResolutionError("normalizer construction failed to reproduce the element")
-    return c
-
-
-def _parabolic_normalizer(g: MoebiusElement) -> tuple[MoebiusElement, float]:
-    """(c, a) with c^-1 g c acting as x -> x + a."""
-    p, _ = moebius.fixed_points_line(g)
-    if math.isinf(p):
-        c = moebius.identity()
-    else:
-        c = moebius.from_half_plane(moebius.HalfPlaneMatrix(p, -1.0, 1.0, 0.0))
-    m = moebius.to_half_plane(moebius.compose(moebius.compose(moebius.inverse(c), g), c))
-    a = m.b / m.d  # the straightened element takes 0 to b/d and 1 to (a+b)/(c+d)
-    if abs((m.a + m.b) / (m.c + m.d) - (1.0 + a)) > 1e-9:
-        raise ResolutionError("normalizer construction failed to straighten the shift")
-    return c, a
+    return c, rate
 
 
 @dataclass(frozen=True)
 class Conjugacy:
-    """Circle homeomorphism h with h o gamma2 = gamma1 o h, and its transport."""
+    """Circle homeomorphism h with h o gamma2 = gamma1 o h, and its transport;
+    each gamma is an element or a normal form (kind, rate)."""
 
-    gamma1: MoebiusElement
-    gamma2: MoebiusElement
+    gamma1: MoebiusElement | tuple[str, float]
+    gamma2: MoebiusElement | tuple[str, float]
     kind: str
     c1: MoebiusElement
     c2: MoebiusElement
@@ -568,40 +591,36 @@ class Conjugacy:
         line = lambda g, s: angle_to_line(_moebius_angles(g, s))
         h = lambda s: _moebius_angles(c1, line_to_angle(H(line(c2i, s))))
         h_inv = lambda s: _moebius_angles(c2, line_to_angle(H_inv(line(c1i, s))))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             return _pull_back(f, h, h_inv, reverses=rho < 0.0)
 
     def intertwine_residual(
         self, f: BoundaryFunction, ex: CompactExhaustion | None = None
     ) -> tuple[float, float]:
-        """Metric distance between (f o gamma1^-1) o h and (f o h) o gamma2^-1."""
+        """Metric distance between (f o gamma1^-1) o h and (f o h) o gamma2^-1,
+        each translate the first row of `translates`."""
         ex = ex or CompactExhaustion()
-        lhs = self.transport(compose_with_moebius(f, moebius.inverse(self.gamma1)))
-        rhs = compose_with_moebius(self.transport(f), moebius.inverse(self.gamma2))
-        return metric_distance(HarmonicFunction(lhs), HarmonicFunction(rhs), ex)
+        *_, lhs = translates(f, self.gamma1, 1)
+        *_, rhs = translates(self.transport(f), self.gamma2, 1)
+        return metric_distance(HarmonicFunction(self.transport(lhs)), HarmonicFunction(rhs), ex)
 
 
-def conjugating_map(gamma1: MoebiusElement, gamma2: MoebiusElement) -> Conjugacy:
-    """Explicit conjugating circle map for two elements of the same class.
+def conjugating_map(gamma1, gamma2) -> Conjugacy:
+    """Explicit conjugating circle map for two elements of the same class, each
+    an element or a normal form (kind, rate); `class_of` is the class rule.
 
     Hyperbolic pair: after moving both to x -> lam_i x, h is the power map
     sign(x) |x|^(log lam1 / log lam2).  Parabolic pair: h is linear.  Any other
     combination (including hyperbolic with parabolic, where no answer is
-    known) raises NotConjugateError.
+    known) raises NotConjugateError, and an element whose normalizer fails
+    its check raises ResolutionError.
     """
-    c1cls = moebius.classify(gamma1)
-    c2cls = moebius.classify(gamma2)
-    if c1cls is ElementClass.HYPERBOLIC and c2cls is ElementClass.HYPERBOLIC:
-        n1 = _hyperbolic_normalizer(gamma1)
-        n2 = _hyperbolic_normalizer(gamma2)
-        rho = math.log(moebius.multiplier(gamma1)) / math.log(moebius.multiplier(gamma2))
-        return Conjugacy(gamma1, gamma2, "hyperbolic", n1, n2, rho)
-    if c1cls is ElementClass.PARABOLIC and c2cls is ElementClass.PARABOLIC:
-        n1, a1 = _parabolic_normalizer(gamma1)
-        n2, a2 = _parabolic_normalizer(gamma2)
-        return Conjugacy(gamma1, gamma2, "parabolic", n1, n2, a1 / a2)
-    raise NotConjugateError(
-        f"no conjugating map constructed for classes "
-        f"{c1cls.value} and {c2cls.value}: only matching hyperbolic or "
-        f"matching parabolic pairs are supported"
-    )
+    kind, kind2 = class_of(gamma1), class_of(gamma2)
+    if kind != kind2 or kind not in ("hyperbolic", "parabolic"):
+        raise NotConjugateError(
+            f"no conjugating map constructed for classes {kind} and {kind2}: only "
+            f"matching hyperbolic or matching parabolic pairs are supported"
+        )
+    (c1, r1), (c2, r2) = _normalized(gamma1, kind), _normalized(gamma2, kind)
+    rho = math.log(r1) / math.log(r2) if kind == "hyperbolic" else r1 / r2
+    return Conjugacy(gamma1, gamma2, kind, c1, c2, rho)

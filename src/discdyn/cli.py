@@ -138,10 +138,9 @@ def _normal_form(args, suffix="") -> tuple[str, float]:
     return ("hyperbolic", lam) if shift is None else ("parabolic", shift)
 
 
-def _element_from_args(args, suffix="", line=False):
-    """The MoebiusElement of --alpha/--beta or of the normal form; with `line`,
-    a normal form comes back as its (kind, rate), which acts in the line
-    coordinate."""
+def _element_from_args(args, suffix=""):
+    """The MoebiusElement of --alpha/--beta, or the (kind, rate) of the normal
+    form, which acts in the line coordinate."""
     alpha = getattr(args, "alpha" + suffix)
     beta = getattr(args, "beta" + suffix)
     if alpha is not None or beta is not None:
@@ -150,12 +149,7 @@ def _element_from_args(args, suffix="", line=False):
         if getattr(args, "lam" + suffix) is not None or getattr(args, "shift" + suffix) is not None:
             raise UsageError(f"--alpha/--beta exclude --lambda{suffix} and --shift{suffix}")
         return moebius.MoebiusElement(alpha, beta)
-    kind, rate = _normal_form(args, suffix)
-    if line:
-        return kind, rate
-    if kind == "hyperbolic":
-        return moebius.hyperbolic_multiplier(rate)
-    return moebius.parabolic_shift(rate)
+    return _normal_form(args, suffix)
 
 
 def _add_normal_form_flags(p, suffix=""):
@@ -198,7 +192,7 @@ def cmd_extend(args) -> int:
 
 def cmd_act(args) -> int:
     f = _load_boundary(args.boundary)
-    *_, moved = chaos.translates(f, _element_from_args(args, line=True), 1)
+    *_, moved = chaos.translates(f, _element_from_args(args), 1)
     _save_boundary(args.out, moved, _config_dict("act", args))
     return 0
 
@@ -207,7 +201,7 @@ def cmd_orbit(args) -> int:
     f = _load_boundary(args.boundary)
     ex = CompactExhaustion()
     rows = []
-    for n, fn in enumerate(chaos.translates(f, _element_from_args(args, line=True), args.steps)):
+    for n, fn in enumerate(chaos.translates(f, _element_from_args(args), args.steps)):
         val, bar = poisson.metric_norm(HarmonicFunction(fn), ex)
         m = fn.mean()
         rows.append((n, val, bar, m.real, m.imag))
@@ -247,7 +241,7 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_arcflow(args) -> int:
-    g = _element_from_args(args)
+    g = chaos.as_element(_element_from_args(args))
     x = Arc(args.base_zeta, args.base_theta)
     rows = []
     for step in range(args.steps + 1):
@@ -328,11 +322,8 @@ def cmd_projective(args) -> int:
 
 def cmd_limit(args) -> int:
     f = _load_boundary(args.boundary)
-    gamma = _element_from_args(args, line=True)
-    if isinstance(gamma, moebius.MoebiusElement):
-        kind = moebius.classify(gamma).value
-    else:  # a normal form pushes orbits to the boundary unless it is the identity
-        kind = "identity" if gamma in (("hyperbolic", 1.0), ("parabolic", 0.0)) else gamma[0]
+    gamma = _element_from_args(args)
+    kind = chaos.class_of(gamma)
     if kind not in ("hyperbolic", "parabolic"):
         raise poisson.NonDivergentError(f"{kind} element does not push orbits to the boundary")
     rows = poisson.limit_diagnostic(chaos.translates(f, gamma, args.nmax))

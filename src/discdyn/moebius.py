@@ -1,14 +1,11 @@
 """Disc isometries as SU(1,1) pairs (alpha, beta) modulo sign.
 
 An element acts on the closed unit disc by z -> (alpha*z + beta)/(conj(beta)*z
-+ conj(alpha)) with |alpha|^2 - |beta|^2 = 1.  The same group acts on the
-compactified real line through the Cayley transform; `to_half_plane` /
-`from_half_plane` convert to real 2x2 matrices (a, b, c, d) acting by
-x -> (a*x + b)/(c*x + d).
-
-The point at infinity of the compactified line is represented by math.inf
-(+inf and -inf both name the single compactification point; a fixed point
-there is returned as the canonical +inf).
++ conj(alpha)) with |alpha|^2 - |beta|^2 = 1, and so on the unit circle.  A
+hyperbolic or parabolic element's fixed points on the circle and its
+multiplier are read from (alpha, beta) directly; the normal forms x -> lam*x
+and x -> x + a of the line coordinate x = tan(s/2) are `hyperbolic_multiplier`
+and `parabolic_shift`.
 """
 
 from __future__ import annotations
@@ -16,12 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 INF = math.inf
 
-_DET_TOL = 1e-9
 _CLASS_TOL = 1e-9
 
 
@@ -79,31 +76,6 @@ class MoebiusElement:
         return min(d1, d2)
 
 
-@dataclass(frozen=True)
-class HalfPlaneMatrix:
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _DET_TOL:
-            raise InvalidMatrixError(f"determinant {det} not within {_DET_TOL} of 1")
-        s = 1.0 / math.sqrt(det)
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) * s)
-
-    @classmethod
-    def normalized(cls, a: float, b: float, c: float, d: float) -> "HalfPlaneMatrix":
-        """Rescale any positive-determinant matrix to determinant 1."""
-        det = a * d - b * c
-        if not det > 0.0:
-            raise InvalidMatrixError(f"determinant {det} must be positive")
-        s = 1.0 / math.sqrt(det)
-        return cls(a * s, b * s, c * s, d * s)
-
-
 def identity() -> MoebiusElement:
     return MoebiusElement(1.0 + 0.0j, 0.0j)
 
@@ -155,19 +127,6 @@ def act_disc(g: MoebiusElement, z: complex) -> complex:
     return (g.alpha * z + g.beta) / (np.conj(g.beta) * z + np.conj(g.alpha))
 
 
-def to_half_plane(g: MoebiusElement) -> HalfPlaneMatrix:
-    ar, ai = g.alpha.real, g.alpha.imag
-    br, bi = g.beta.real, g.beta.imag
-    return HalfPlaneMatrix(a=ar - br, b=ai + bi, c=bi - ai, d=ar + br)
-
-
-def from_half_plane(m: HalfPlaneMatrix) -> MoebiusElement:
-    return MoebiusElement(
-        complex(0.5 * (m.a + m.d), 0.5 * (m.b - m.c)),
-        complex(0.5 * (-m.a + m.d), 0.5 * (m.b + m.c)),
-    )
-
-
 def classify(g: MoebiusElement, tol: float = _CLASS_TOL) -> ElementClass:
     if abs(g.beta) <= tol and abs(g.alpha - 1.0) <= tol:
         return ElementClass.IDENTITY
@@ -179,42 +138,32 @@ def classify(g: MoebiusElement, tol: float = _CLASS_TOL) -> ElementClass:
     return ElementClass.PARABOLIC
 
 
-def multiplier(g: MoebiusElement) -> float:
-    """Expansion factor lam > 1 at the expanding fixed point of a hyperbolic g."""
-    if classify(g) is not ElementClass.HYPERBOLIC:
-        raise ValueError("multiplier is defined for hyperbolic elements only")
-    t = abs(g.trace)
-    half = 0.5 * (t + math.sqrt(t * t - 4.0))
-    return half * half
-
-
-def fixed_points_line(g: MoebiusElement) -> tuple[float, float]:
-    """Fixed points on the compactified line: (expanding, contracting).
-
-    Works in half-plane coordinates, solving c x^2 + (d - a) x - b = 0 with
-    explicit handling of c = 0.
-    """
+def _root_square(g: MoebiusElement) -> Fraction:
+    """r^2 = |beta|^2 - Im(alpha)^2 of a hyperbolic g, exactly, or 0 for a
+    parabolic g: conj(beta) z + conj(alpha) is Re(alpha) -+ r at the fixed
+    points (i Im(alpha) -+ r)/conj(beta), where |g'| = 1/(Re(alpha) -+ r)^2."""
     cls = classify(g)
     if cls not in (ElementClass.HYPERBOLIC, ElementClass.PARABOLIC):
-        raise ValueError(f"{cls.value} element has no line fixed points of this kind")
-    m = to_half_plane(g)
-    if m.c == 0.0:
-        # x -> (a x + b)/d fixes inf; the finite one solves (a/d - 1) x = -b/d
-        if cls is ElementClass.PARABOLIC:
-            return INF, INF
-        other = m.b / (m.d - m.a)
-        # derivative at the finite fixed point is a/d, at infinity d/a
-        if abs(m.a / m.d) > 1.0:
-            return other, INF
-        return INF, other
+        raise ValueError(f"{cls.value} element has no fixed points on the circle")
     if cls is ElementClass.PARABOLIC:
-        p = 0.5 * (m.a - m.d) / m.c
-        return p, p
-    disc = (m.d - m.a) ** 2 + 4.0 * m.c * m.b
-    root = math.sqrt(max(disc, 0.0))
-    x1 = 0.5 * ((m.a - m.d) + root) / m.c
-    x2 = 0.5 * ((m.a - m.d) - root) / m.c
-    # |derivative| = 1/(c x + d)^2
-    if abs(m.c * x1 + m.d) < 1.0:
-        return x1, x2
-    return x2, x1
+        return Fraction(0)
+    b, a = g.beta, g.alpha
+    return max(Fraction(b.real) ** 2 + Fraction(b.imag) ** 2 - Fraction(a.imag) ** 2, Fraction(0))
+
+
+def multiplier(g: MoebiusElement) -> float:
+    """Expansion factor lam > 1 at the expanding fixed point of a hyperbolic g:
+    (Re(alpha) + r)/(Re(alpha) - r) = (Re(alpha) + r)^2/(|alpha|^2 - |beta|^2),
+    the determinant taken exactly, so that it cancels the stored pair's scale."""
+    if classify(g) is not ElementClass.HYPERBOLIC:
+        raise ValueError("multiplier is defined for hyperbolic elements only")
+    r2 = _root_square(g)
+    return (g.alpha.real + math.sqrt(r2)) ** 2 / float(Fraction(g.alpha.real) ** 2 - r2)
+
+
+def fixed_points(g: MoebiusElement) -> tuple[complex, complex]:
+    """Fixed points on the unit circle, (expanding, contracting): the roots
+    (i Im(alpha) -+ r)/conj(beta) of conj(beta) z^2 - 2i Im(alpha) z - beta.
+    A parabolic g has one, returned twice."""
+    r = math.sqrt(_root_square(g))
+    return (1j * g.alpha.imag - r) / g.beta.conjugate(), (1j * g.alpha.imag + r) / g.beta.conjugate()

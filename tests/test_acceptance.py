@@ -35,7 +35,7 @@ from discdyn import (
     coverage_sweep,
     dense_orbit_report,
     extend_many,
-    from_half_plane,
+    fixed_points,
     genus2_group,
     hyperbolic_multiplier,
     identity,
@@ -50,7 +50,6 @@ from discdyn import (
     relation_residual,
     schedule,
     short_word_scan,
-    to_half_plane,
     translates,
 )
 
@@ -199,7 +198,7 @@ def test_iterates_flatten_smooth_data():
 
 def test_group_algebra_suite():
     rng = np.random.default_rng(107)
-    worst = 0.0
+    worst, worst_fixed, fixed = 0.0, 0.0, 0
     ident = identity()
     for _ in range(1000):
         a, b, c = (random_element(rng) for _ in range(3))
@@ -208,13 +207,15 @@ def test_group_algebra_suite():
         worst = max(worst, abs(ab_c.alpha - a_bc.alpha), abs(ab_c.beta - a_bc.beta))
         inv = compose(a, inverse(a))
         worst = max(worst, abs(inv.alpha - ident.alpha), abs(inv.beta - ident.beta))
-        rt = from_half_plane(to_half_plane(a))
-        worst = max(worst, abs(rt.alpha - a.alpha), abs(rt.beta - a.beta))
+        if classify(a) in (ElementClass.HYPERBOLIC, ElementClass.PARABOLIC):
+            fixed += 1
+            worst_fixed = max(worst_fixed, *(abs(act_disc(a, p) - p) for p in fixed_points(a)))
     _verdict(
         "group algebra",
-        worst <= 1e-12,
-        f"associativity, inverses, half-plane round-trip: worst residual {worst:.3e} "
-        "over 1000 elements (tol 1e-12)",
+        worst <= 1e-12 and worst_fixed <= 1e-12,
+        f"associativity, inverses: worst residual {worst:.3e} over 1000 elements; circle fixed "
+        f"points: worst |g(p) - p| {worst_fixed:.3e} over the {fixed} hyperbolic or parabolic "
+        "draws (tol 1e-12)",
     )
 
 

@@ -8,6 +8,7 @@ from discdyn import (
     BoundaryFunction,
     CompactExhaustion,
     HarmonicFunction,
+    MoebiusElement,
     NotConjugateError,
     NotHyperbolicError,
     NotParabolicError,
@@ -393,6 +394,10 @@ class TestPeriodicApproximant:
             assert 2.0 ** (a.k - 1) <= a.n * a.n * (1 + 1e-9)
 
 
+# a valid parabolic element of norm about 3281, fixing one point of the circle
+FAR_PARABOLIC = MoebiusElement(0.9999999998690328 + 3281.428150044824j, -51.109215683388584 - 3281.030105314309j)
+
+
 def _cuts_at(xs):
     """Boundary data with a cut at each line coordinate in xs, each piece its own value."""
     return BoundaryFunction(line_to_angle(xs), np.exp(1j * np.arange(len(xs))))
@@ -416,15 +421,43 @@ class TestConjugacy:
         assert cj.exponent == pytest.approx(0.5)
 
     def test_pointwise_intertwining_random_pairs(self, rng):
+        # random multipliers, then 1.001 and 1e7 on both sides, each side
+        # under its own random conjugator; then the norm-3281 parabolic
+        # element and its normal form, either way round
+        rates = [lambda: math.exp(rng.uniform(0.2, 1.2))] * 25 + [lambda: 1.001] * 10 + [lambda: 1e7] * 10
         worst = 0.0
-        for _ in range(25):
+        for rate in rates:
             c1, c2 = random_element(rng), random_element(rng)
-            g1 = compose(compose(c1, hyperbolic_multiplier(math.exp(rng.uniform(0.2, 1.2)))), inverse(c1))
-            g2 = compose(compose(c2, hyperbolic_multiplier(math.exp(rng.uniform(0.2, 1.2)))), inverse(c2))
+            g1 = compose(compose(c1, hyperbolic_multiplier(rate())), inverse(c1))
+            g2 = compose(compose(c2, hyperbolic_multiplier(rate())), inverse(c2))
             cj = conjugating_map(g1, g2)
             f = _cuts_at(np.tan(rng.uniform(-1.5, 1.5, 8)))
             worst = max(worst, _intertwining_gap(cj, f))
+        shift = parabolic_shift(2.0 * FAR_PARABOLIC.alpha.imag / FAR_PARABOLIC.alpha.real)
+        for g1, g2 in ((FAR_PARABOLIC, shift), (shift, FAR_PARABOLIC)):
+            f = _cuts_at(np.tan(rng.uniform(-1.5, 1.5, 8)))
+            worst = max(worst, _intertwining_gap(conjugating_map(g1, g2), f))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("defect", ["swapped fixed points", "rate off by 1e-6"])
+    @pytest.mark.parametrize("kind", ["hyperbolic", "parabolic"])
+    def test_planted_normalizer_defect_is_rejected(self, rng, monkeypatch, defect, kind):
+        # the second element is a normal form, which takes no normalizer
+        c = random_element(rng)
+        g1 = compose(compose(c, chaos.as_element((kind, 3.0))), inverse(c))
+        g2 = (kind, 2.0)
+        conjugating_map(g1, g2)
+        normalizer = chaos._normalizer
+
+        def planted(g):
+            c, rate = normalizer(g)
+            if defect == "swapped fixed points":  # c o (z -> -z) takes 1 and -1 to c(-1) and c(1)
+                return compose(c, rotation(math.pi)), rate
+            return c, rate * (1.0 + 1e-6)
+
+        monkeypatch.setattr(chaos, "_normalizer", planted)
+        with pytest.raises(ResolutionError):
+            conjugating_map(g1, g2)
 
     def test_parabolic_pair_intertwines(self, rng):
         cj = conjugating_map(parabolic_shift(1.0), parabolic_shift(2.5))

@@ -159,6 +159,28 @@ class TestCommands:
         doc = json.loads((tmp_path / "conjugate.json").read_text())
         assert doc["intertwine_residual"] <= 1e-9 + doc["residual_bar"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # elements within about 1e-9 of trace 2
+            ["--alpha1", "(1+0.014736396890952236j)",
+             "--beta1", "(-2.3905587909210686e-05+0.014736377500944415j)", "--shift2", "1"],
+            ["--alpha1", "(1.0000000006517336+0.009100889922343883j)",
+             "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"],
+            # a parabolic element of norm about 3281, whose |alpha|^2 - |beta|^2
+            # rounds at about 1e-9
+            ["--alpha1", "(0.9999999998690328+3281.428150044824j)",
+             "--beta1", "(-51.109215683388584-3281.030105314309j)", "--shift2", "1"],
+            # normal forms far from 1, their rates used as given
+            ["--lambda1", "1e7", "--lambda2", "2"],
+            ["--lambda1", "1e10", "--lambda2", "2"],
+        ],
+    )
+    def test_conjugate_certifies_valid_elements(self, bdry, tmp_path, flags):
+        assert main(["conjugate", *flags]) == 0
+        doc = json.loads((tmp_path / "conjugate.json").read_text())
+        assert doc["intertwine_residual"] <= 1e-9 + doc["residual_bar"]
+
     def test_projective_pass(self, bdry, tmp_path):
         rc = main(["projective", "--samples", "100", "--out", "pj.csv"])
         assert rc == 0
@@ -220,11 +242,9 @@ class TestFoliate:
            ["periodic", "--boundary", "f.json", "--shift", "inf", "--epsilon", "0.3"],
            # lam^2 = 1e400 overflows a double: reported, not a traceback
            ["periodic", "--boundary", "f.json", "--lambda", "1e200", "--epsilon", "0.3"],
-           # elements whose normal form double precision cannot reproduce
-           ["conjugate", "--alpha1", "(1+0.014736396890952236j)",
-            "--beta1", "(-2.3905587909210686e-05+0.014736377500944415j)", "--shift2", "1"],
-           ["conjugate", "--alpha1", "(1.0000000006517336+0.009100889922343883j)",
-            "--beta1", "(-0.009074674443915812-0.0006912196338078015j)", "--lambda2", "2"],
+           # normal forms of different classes, and multiplier 1, the identity
+           ["conjugate", "--lambda1", "2", "--shift2", "1"],
+           ["conjugate", "--lambda1", "1", "--lambda2", "2"],
            # a multiplier is positive
            ["act", "--boundary", "f.json", "--lambda", "-2"],
            ["act", "--boundary", "f.json", "--lambda", "0"]],

@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from discdyn import (
     ElementClass,
-    HalfPlaneMatrix,
     InvalidMatrixError,
     MoebiusElement,
     act_disc,
     classify,
     compose,
-    fixed_points_line,
-    from_half_plane,
+    fixed_points,
     hyperbolic_multiplier,
     identity,
     inverse,
     multiplier,
     parabolic_shift,
     rotation,
-    to_half_plane,
 )
 
 from conftest import random_element
@@ -117,39 +114,25 @@ class TestClassification:
             multiplier(parabolic_shift(1.0))
 
 
+def line_image(g, x):
+    """g acting on the line coordinate x = tan(s/2) of the circle point e^{is}."""
+    return math.tan(cmath.phase(act_disc(g, cmath.exp(2j * math.atan(x)))) / 2)
+
+
 class TestHalfPlane:
-    def test_round_trip(self, rng):
-        for _ in range(100):
-            g = random_element(rng)
-            h = from_half_plane(to_half_plane(g))
-            assert dist(g, h) < 1e-12
-
-    def test_determinant_one(self, rng):
-        for _ in range(50):
-            m = to_half_plane(random_element(rng))
-            assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-12
-
     def test_multiplier_acts_by_scaling(self):
-        m = to_half_plane(hyperbolic_multiplier(3.0))
-        x = 0.8
-        assert abs((m.a * x + m.b) / (m.c * x + m.d) - 3.0 * x) < 1e-12
+        assert abs(line_image(hyperbolic_multiplier(3.0), 0.8) - 3.0 * 0.8) < 1e-12
 
     def test_shift_acts_by_translation(self):
-        m = to_half_plane(parabolic_shift(0.75))
-        x = -1.3
-        assert abs((m.a * x + m.b) / (m.c * x + m.d) - (x + 0.75)) < 1e-12
-
-    def test_normalized_rejects_flipped_determinant(self):
-        with pytest.raises(InvalidMatrixError):
-            HalfPlaneMatrix.normalized(1.0, 0.0, 0.0, -1.0)
+        assert abs(line_image(parabolic_shift(0.75), -1.3) - (-1.3 + 0.75)) < 1e-12
 
 
 class TestFixedPoints:
     def test_multiplier_fixed_points(self):
-        e, c = fixed_points_line(hyperbolic_multiplier(3.0))
-        assert e == 0.0 and math.isinf(c)
-        e, c = fixed_points_line(hyperbolic_multiplier(1 / 3.0))
-        assert math.isinf(e) and c == 0.0
+        e, c = fixed_points(hyperbolic_multiplier(3.0))
+        assert abs(e - 1.0) < 1e-15 and abs(c + 1.0) < 1e-15
+        e, c = fixed_points(hyperbolic_multiplier(1 / 3.0))
+        assert abs(e + 1.0) < 1e-15 and abs(c - 1.0) < 1e-15
 
     def test_expanding_contracting_by_derivative(self, rng):
         # |g'| > 1 at the expanding fixed point, < 1 at the contracting one
@@ -157,19 +140,19 @@ class TestFixedPoints:
         for _ in range(50):
             c = random_element(rng)
             g = compose(compose(c, hyperbolic_multiplier(math.exp(rng.uniform(0.1, 1.0)))), inverse(c))
-            e, con = fixed_points_line(g)
+            e, con = fixed_points(g)
             for fp, expanding in ((e, True), (con, False)):
-                # on the circle, at angle s = 2 atan(fp); infinity is angle pi
-                s = 2.0 * math.atan(fp)
-                assert abs(act_disc(g, cmath.exp(1j * s)) - cmath.exp(1j * s)) < 1e-9
+                s = cmath.phase(fp)
+                assert abs(abs(fp) - 1.0) < 1e-12
+                assert abs(act_disc(g, fp) - fp) < 1e-12
                 ratio = act_disc(g, cmath.exp(1j * (s + h))) / act_disc(g, cmath.exp(1j * (s - h)))
                 d = abs(cmath.phase(ratio)) / (2 * h)
                 assert (d > 1.0) == expanding
 
     def test_parabolic_single_point(self):
-        e, c = fixed_points_line(parabolic_shift(2.0))
-        assert math.isinf(e) and math.isinf(c)
+        e, c = fixed_points(parabolic_shift(2.0))
+        assert e == c and abs(e + 1.0) < 1e-15
 
     def test_elliptic_has_no_boundary_fixed_points(self):
         with pytest.raises(ValueError):
-            fixed_points_line(rotation(0.3))
+            fixed_points(rotation(0.3))
