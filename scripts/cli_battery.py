@@ -11,8 +11,10 @@ too: `foliate --points 500` at word lengths 4, 12 and 40 from base arcs of
 length 1e-3, pi and 2pi - 1e-3, whose short and near-full arcs print with
 2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`
 and one `projective`.  Last come `conjugate` runs of valid pairs that once
-exited 1 (`CONJUGATE_PAIRS`), on the default data and on one file; being
-last, they move no seeded draw.  Both trees are imported into this process
+exited 1 (`CONJUGATE_PAIRS`), on the default data and on one file, then
+`periodic` runs at epsilon 2, 0.63, 0.1, 0.05 and 0.01 for each of
+`PERIODIC_RATES`, the boundary files taken in turn; being last, they move no
+seeded draw.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output
@@ -23,7 +25,8 @@ when there is any.  A differing output is measured too:
 - `orbit`: the largest |norm gap| over the sum of both sides' bars;
 - `limit`: the largest gap of an oscillation or value;
 - `conjugate`: each side's exit code, exponent, residual and bar, and
-  whether residual <= tol + bar holds.
+  whether residual <= tol + bar holds;
+- `periodic`: each side's CSV row and its count of JSON breakpoints.
 The exit status is 0 when everything agrees and 1 otherwise.
 
 Example:
@@ -56,6 +59,8 @@ CONJUGATE_PAIRS = [
     ["--lambda1", "1e7", "--lambda2", "2"],
     ["--lambda1", "1e10", "--lambda2", "2"],
 ]
+PERIODIC_RATES = [["--lambda", "1.001"], ["--lambda", "3"], ["--lambda", "1e100"],
+                  ["--shift", "1e-6"], ["--shift", "0.3"], ["--shift", "2"]]
 
 
 def _element(rng, suffix="") -> list[str]:
@@ -114,6 +119,9 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
     runs.append(["projective"])
     for pair in CONJUGATE_PAIRS:
         runs += [["conjugate", *pair], ["conjugate", *bdry(names[3]), *pair]]
+    periodic = [(eps, r) for eps in ("2", "0.63", "0.1", "0.05", "0.01") for r in PERIODIC_RATES]
+    for i, (eps, r) in enumerate(periodic):
+        runs.append(["periodic", *bdry(names[i % len(names)]), *r, "--epsilon", eps])
     return runs
 
 
@@ -161,11 +169,24 @@ def conjugate_verdict(argv, rc, out) -> str:
             f"residual <= tol + bar: {res <= tol + bar}")
 
 
-def measure(cuts, argv, key, rcs, out_a, out_b) -> str:
-    """What a differing --out file of `act`, `orbit`, `limit` or `conjugate`
-    moved by; rcs are the two exit codes."""
+def periodic_summary(outs) -> str:
+    """A `periodic` run's CSV data row and its count of JSON breakpoints."""
+    if ".csv" not in outs or ".json" not in outs:
+        return "no output"
+    *_, row = outs[".csv"].decode().splitlines()
+    cuts = json.loads(outs[".json"])["breakpoints"]
+    return f"CSV row {row} with {len(cuts)} JSON breakpoints"
+
+
+def measure(cuts, argv, key, rcs, outs_a, outs_b) -> str:
+    """What a differing output of `periodic`, or a differing --out file of
+    `act`, `orbit`, `limit` or `conjugate`, moved by; rcs are the two exit
+    codes and outs_a, outs_b each side's outputs by name."""
+    if argv[0] == "periodic" and key != "stderr":
+        return f"; parent {periodic_summary(outs_a)}; change {periodic_summary(outs_b)}"
     if key != "":
         return ""
+    out_a, out_b = outs_a.get(key), outs_b.get(key)
     if argv[0] == "conjugate":
         return (f"; parent {conjugate_verdict(argv, rcs[0], out_a)}; "
                 f"change {conjugate_verdict(argv, rcs[1], out_b)}")
@@ -213,7 +234,7 @@ def main(argv=None) -> int:
         for key in sorted(out_a.keys() | out_b.keys()):
             if out_a.get(key) != out_b.get(key):
                 gap = measure(cuts.get(_flag(runs[i], "--boundary")), runs[i], key, (a, b),
-                              out_a.get(key), out_b.get(key))
+                              out_a, out_b)
                 lines.append(f"output differs: r{i:03d}{key or ' (--out)'}: {shown[i]}{gap}")
     n_equal = sum(a[0] == b[0] for a, b in zip(results["parent"], results["change"]))
     n_differ = sum(line.startswith("output") for line in lines)

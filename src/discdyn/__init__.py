@@ -37,7 +37,6 @@ from .chaos import (
     ResolutionError,
     TargetFamily,
     build_dense_seed,
-    build_parabolic_periodic,
     build_periodic_approximant,
     conjugating_map,
     dense_orbit_report,
@@ -81,7 +80,6 @@ from .poisson import (
     CompactExhaustion,
     HarmonicFunction,
     NearBoundaryError,
-    NonDivergentError,
     extend,
     extend_many,
     limit_diagnostic,

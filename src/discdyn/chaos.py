@@ -9,10 +9,11 @@ set A_n whose complement has small arclength.  The report certifies per level
 
 Periodic seed: f_eps sums translates of a window restriction of f along the
 cyclic group generated by gamma^k, giving a boundary function fixed by
-gamma^k at the representation level and metric-close to f.  The builders take
-the normal form's rate, the multiplier lam of x -> lam x or the shift a of
-x -> x + a, and use it as given: the period k and every translate come from
-that number, never from an element read back.
+gamma^k at the representation level and metric-close to f.  One builder
+serves both kinds and takes the normal form's rate, the multiplier lam of
+x -> lam x or the shift a of x -> x + a, as given: the period k, every
+translate and the materialized range come from that number, never from an
+element read back.
 
 Conjugacy transport: for two elements of the same class, an explicit circle
 homeomorphism h with h o gamma2 = gamma1 o h transports boundary data by
@@ -99,16 +100,6 @@ class DenseOrbitSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
 
-    def a(self, n: int) -> float:
-        return self.rate ** (-self.ks[n - 1]) / n
-
-    def b(self, n: int) -> float:
-        return n * self.rate ** (-self.ks[n - 1])
-
-    def window(self, n: int) -> tuple[float, float]:
-        c = self.rate * self.ks[n - 1]
-        return c - n, c + n
-
     def check(self):
         ks = self.ks
         if list(ks) != sorted(set(ks)) or ks[0] < 1:
@@ -187,7 +178,6 @@ class TargetFamily:
     """Deterministic finite prefix of a countable dense family of unit-ball data."""
 
     functions: tuple[BoundaryFunction, ...]
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -202,12 +192,7 @@ class TargetFamily:
             br = np.arange(m) * (TWO_PI / m)
             vals = _VALUE_GRID[rng.integers(0, len(_VALUE_GRID), size=m)]
             funcs.append(BoundaryFunction(br, vals))
-        return cls(tuple(funcs), int(seed))
-
-    def replaced(self, index: int, f: BoundaryFunction) -> "TargetFamily":
-        funcs = list(self.functions)
-        funcs[index] = f
-        return TargetFamily(tuple(funcs), self.seed)
+        return cls(tuple(funcs))
 
 
 # --- line windows ------------------------------------------------------------
@@ -366,10 +351,7 @@ class CertificateRow:
 
 
 def dense_orbit_report(
-    family: TargetFamily,
-    sched: DenseOrbitSchedule,
-    ex: CompactExhaustion | None = None,
-    n_levels: int | None = None,
+    family: TargetFamily, sched: DenseOrbitSchedule, n_levels: int | None = None
 ) -> list[CertificateRow]:
     """Per-level certificate rows (n, k_n, dist, bound, bar).
 
@@ -380,7 +362,7 @@ def dense_orbit_report(
     Z-action index -k_n (the translate is f_inf o gamma^{+k_n}); the certified
     inequality is the same.
     """
-    ex = ex or CompactExhaustion()
+    ex = CompactExhaustion()
     n_levels = len(family) if n_levels is None else int(n_levels)
     if n_levels > len(family):
         raise ValueError("more levels requested than family members")
@@ -423,9 +405,8 @@ class PeriodicApproximant:
         )
         return defect, bar
 
-    def metric_defect(self, ex: CompactExhaustion | None = None) -> tuple[float, float]:
-        ex = ex or CompactExhaustion()
-        return metric_distance(HarmonicFunction(self.source), self.function, ex)
+    def metric_defect(self) -> tuple[float, float]:
+        return metric_distance(HarmonicFunction(self.source), self.function, CompactExhaustion())
 
 
 def _off_window(n: int, kind: str) -> float:
@@ -449,48 +430,17 @@ def _pick_n(epsilon: float, kind: str) -> int:
     return n
 
 
-def build_periodic_approximant(
-    f: BoundaryFunction, epsilon: float, lam: float
-) -> PeriodicApproximant:
-    """Periodic boundary function within metric epsilon of f, fixed by gamma^k
-    for the hyperbolic normal form gamma: x -> lam*x on the line (fixing z = 1
-    and z = -1; transport other elements with conjugating_map).
-
-    The multiplier lam is used as given; no group element is formed.  Window
-    level n is minimal with arclength(B_n^c) <= epsilon*pi, and the period
-    exponent k is minimal with lam^k > n^2, which keeps all translates of the
-    window disjoint.
-    """
-    return _assemble_periodic(f, epsilon, "hyperbolic", lam)
-
-
-def build_parabolic_periodic(
-    f: BoundaryFunction, epsilon: float, a: float
-) -> PeriodicApproximant:
-    """Parabolic counterpart for gamma: x -> x + a, the shift a used as given:
-    window [-n, n], period exponent minimal with a*k > 2n.
-
-    Far translates pile up near the angle of infinity with length decaying
-    like 1/m, so the unmaterialized-length floor scales with epsilon instead
-    of chasing a fixed tiny floor; the certificate absorbs it in the bar.
-    """
-    return _assemble_periodic(f, epsilon, "parabolic", a)
-
-
 def _unrep_arcs_periodic(kind, rate, n, k, m_cap):
-    """Arcs holding every translate with |m| > m_cap, plus their total length."""
+    """Arcs holding every translate with |m| > m_cap: 8 atan(n rate^-(m_cap+1)k)
+    of circle in all (hyperbolic), or 4 atan(1/((m_cap+1) k rate - n))
+    (parabolic)."""
     if kind == "hyperbolic":
         step = rate**k
         inner = n * step ** (-(m_cap + 1))
         outer = step ** (m_cap + 1) / n
-        arcs = (
-            _arc_of_line_interval(-inner, inner),
-            _arc_of_line_interval(outer, -outer),
-        )
-    else:
-        reach = (m_cap + 1) * k * rate - n
-        arcs = (_arc_of_line_interval(reach, -reach),)
-    return arcs, float(sum(a.theta for a in arcs))
+        return _arc_of_line_interval(-inner, inner), _arc_of_line_interval(outer, -outer)
+    reach = (m_cap + 1) * k * rate - n
+    return (_arc_of_line_interval(reach, -reach),)
 
 
 def _translate_terms(f, kind, rate, n, k, m_lo, m_hi) -> BoundaryFunction:
@@ -499,7 +449,25 @@ def _translate_terms(f, kind, rate, n, k, m_lo, m_hi) -> BoundaryFunction:
     return from_line_segments(*_moved(_window_pieces(f, kind, n), kind, rate, exps))
 
 
-def _assemble_periodic(f, epsilon, kind, rate) -> PeriodicApproximant:
+def build_periodic_approximant(
+    f: BoundaryFunction, epsilon: float, kind: str, rate: float
+) -> PeriodicApproximant:
+    """Periodic boundary function within metric epsilon of f, fixed by gamma^k
+    for the normal form gamma of `kind`: x -> rate*x on the line (fixing z = 1
+    and z = -1), or x -> x + rate (fixing z = -1); transport other elements
+    with conjugating_map.
+
+    The rate is used as given; no group element is formed.  Window level n is
+    minimal with arclength(B_n^c) <= epsilon*pi: window +-[1/n, n] or [-n, n].
+    The period exponent k is minimal with rate^k > n^2 or k*rate > 2n, which
+    keeps all translates of the window disjoint.  The translates with |m| up
+    to m_materialized are materialized, the least count from 1 whose far arcs
+    total at most a floor: 1e-9 (hyperbolic), or min(0.02, epsilon/12)
+    (parabolic, where the far translates pile up near the angle of infinity
+    with length decaying like 1/m).  The count stops at 4000 and, for a
+    multiplier, where rate^((m + 1) k) would pass 2^960.  The far arcs stay
+    unrepresented, in the bar.
+    """
     if not 0.0 < epsilon <= 2.0:
         raise ValueError(f"epsilon = {epsilon} outside (0, 2]")
     n = _pick_n(epsilon, kind)
@@ -509,14 +477,15 @@ def _assemble_periodic(f, epsilon, kind, rate) -> PeriodicApproximant:
     m_top = 4000 if kind == "parabolic" else min(4000, int(960 / (k * math.log2(rate))) - 1)
     if m_top < 1:
         raise ResolutionError(f"multiplier {rate} too large for double-precision translates")
-    m_cap = 1
-    while True:
-        arcs, tail_len = _unrep_arcs_periodic(kind, rate, n, k, m_cap)
-        if tail_len <= len_floor or m_cap >= m_top:
-            break
-        m_cap += 1
+    # the far arcs (`_unrep_arcs_periodic`) fit in len_floor once m_cap + 1 = e,
+    # e least with rate^(k e) > n / tan(floor/8) or k rate e > n + 1/tan(floor/4)
+    if kind == "hyperbolic":
+        e = _least_exponent(kind, rate**k, n / math.tan(len_floor / 8.0))
+    else:
+        e = _least_exponent(kind, k * rate, n + 1.0 / math.tan(len_floor / 4.0))
+    m_cap = min(max(e - 1, 1), m_top)
     mat = _translate_terms(f, kind, rate, n, k, -m_cap, m_cap)
-    function = HarmonicFunction(mat, arcs, f.sup_norm())
+    function = HarmonicFunction(mat, _unrep_arcs_periodic(kind, rate, n, k, m_cap), f.sup_norm())
     return PeriodicApproximant(function, kind, rate, n, k, m_cap, f)
 
 
@@ -594,15 +563,13 @@ class Conjugacy:
         with np.errstate(over="ignore", divide="ignore"):
             return _pull_back(f, h, h_inv, reverses=rho < 0.0)
 
-    def intertwine_residual(
-        self, f: BoundaryFunction, ex: CompactExhaustion | None = None
-    ) -> tuple[float, float]:
+    def intertwine_residual(self, f: BoundaryFunction) -> tuple[float, float]:
         """Metric distance between (f o gamma1^-1) o h and (f o h) o gamma2^-1,
         each translate the first row of `translates`."""
-        ex = ex or CompactExhaustion()
         *_, lhs = translates(f, self.gamma1, 1)
         *_, rhs = translates(self.transport(f), self.gamma2, 1)
-        return metric_distance(HarmonicFunction(self.transport(lhs)), HarmonicFunction(rhs), ex)
+        lhs, rhs = HarmonicFunction(self.transport(lhs)), HarmonicFunction(rhs)
+        return metric_distance(lhs, rhs, CompactExhaustion())
 
 
 def conjugating_map(gamma1, gamma2) -> Conjugacy:

@@ -223,10 +223,7 @@ def cmd_dense(args) -> int:
 def cmd_periodic(args) -> int:
     kind, rate = _normal_form(args)
     f = _load_boundary(args.boundary)
-    if kind == "hyperbolic":
-        approx = chaos.build_periodic_approximant(f, args.epsilon, rate)
-    else:
-        approx = chaos.build_parabolic_periodic(f, args.epsilon, rate)
+    approx = chaos.build_periodic_approximant(f, args.epsilon, kind, rate)
     l1, l1_bar = approx.l1_defect()
     dist, bar = approx.metric_defect()
     _save_boundary(args.out + ".json", approx.function.boundary, _config_dict("periodic", args))
@@ -325,7 +322,7 @@ def cmd_limit(args) -> int:
     gamma = _element_from_args(args)
     kind = chaos.class_of(gamma)
     if kind not in ("hyperbolic", "parabolic"):
-        raise poisson.NonDivergentError(f"{kind} element does not push orbits to the boundary")
+        raise ValueError(f"{kind} element does not push orbits to the boundary")
     rows = poisson.limit_diagnostic(chaos.translates(f, gamma, args.nmax))
     columns = zip(*((n, osc, v.real, v.imag) for n, osc, v in rows))
     _write_csv(args.out, "limit", args, ["n", "oscillation", "value_re", "value_im"], columns)

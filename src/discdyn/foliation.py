@@ -36,13 +36,9 @@ class InvalidPointError(ValueError):
 @dataclass(frozen=True)
 class FuchsianGroup:
     generators: tuple[MoebiusElement, ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
     def letters(self) -> tuple[MoebiusElement, ...]:
         """Generators followed by their inverses; letter i has inverse i XOR n."""
@@ -60,7 +56,7 @@ def genus2_group() -> FuchsianGroup:
         MoebiusElement(alpha, r * complex(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)))
         for k in range(4)
     )
-    return FuchsianGroup(gens, "genus-2 regular octagon")
+    return FuchsianGroup(gens)
 
 
 _RELATION = (0, 5, 2, 7, 4, 1, 6, 3)  # g0 g1^-1 g2 g3^-1 g0^-1 g1 g2^-1 g3
@@ -110,8 +106,6 @@ class OrbitSample:
     zeta: np.ndarray
     theta: np.ndarray
     word_lengths: np.ndarray
-    rng_seed: int
-    base: Arc
     on_boundary: bool = False
 
 
@@ -172,7 +166,7 @@ def orbit_sample(
     table = _word_table(rng, len(letters), n_points, max_word_len)
     zeta, theta = _apply_words(letters, table, lengths, base)
     on_b = base.theta <= 0.0 or base.theta >= TWO_PI
-    return OrbitSample(zeta, theta, lengths, int(seed), base, on_b)
+    return OrbitSample(zeta, theta, lengths, on_b)
 
 
 def _occupied_cells(zeta: np.ndarray, theta: np.ndarray, grid: int) -> set[tuple[int, int]]:

@@ -127,13 +127,13 @@ def act_disc(g: MoebiusElement, z: complex) -> complex:
     return (g.alpha * z + g.beta) / (np.conj(g.beta) * z + np.conj(g.alpha))
 
 
-def classify(g: MoebiusElement, tol: float = _CLASS_TOL) -> ElementClass:
-    if abs(g.beta) <= tol and abs(g.alpha - 1.0) <= tol:
+def classify(g: MoebiusElement) -> ElementClass:
+    if abs(g.beta) <= _CLASS_TOL and abs(g.alpha - 1.0) <= _CLASS_TOL:
         return ElementClass.IDENTITY
     t = abs(g.trace)
-    if t > 2.0 + tol:
+    if t > 2.0 + _CLASS_TOL:
         return ElementClass.HYPERBOLIC
-    if t < 2.0 - tol:
+    if t < 2.0 - _CLASS_TOL:
         return ElementClass.ELLIPTIC
     return ElementClass.PARABOLIC
 

@@ -56,10 +56,6 @@ class NearBoundaryError(ValueError):
     pass
 
 
-class NonDivergentError(ValueError):
-    pass
-
-
 def angle_antiderivative(z, s):
     """Continuous increasing antiderivative of the kernel in the angle.
 

@@ -25,7 +25,6 @@ from discdyn import (
     act_arc,
     act_disc,
     big_F,
-    build_parabolic_periodic,
     build_periodic_approximant,
     check_equivariance,
     classify,
@@ -156,14 +155,14 @@ def test_periodic_point_certificate():
     cases = [(2.0, eps, f) for eps in (0.3, 0.1, 0.03) for f in fam.functions]
     cases += [(1.001, eps, f) for eps in (0.3, 0.1) for f in fam.functions[:3]]
     for lam, eps, f in cases:
-        ap = build_periodic_approximant(f, eps, lam)
+        ap = build_periodic_approximant(f, eps, "hyperbolic", lam)
         m = ap.m_materialized
         gk = hyperbolic_multiplier(lam**ap.k)
         slid = compose_with_moebius(ap.function.boundary, gk)
         exact = exact and slid.allclose(ap.materialize_range(-m - 1, m - 1), tol=1e-9)
         dist, bar = ap.metric_defect()
         worst_slack = max(worst_slack, (dist + bar) - eps)
-    pin = build_periodic_approximant(fam.functions[0], 0.63, 2.0)
+    pin = build_periodic_approximant(fam.functions[0], 0.63, "hyperbolic", 2.0)
     _verdict(
         "periodic approximant certificate",
         exact and worst_slack <= 0.0 and pin.n == 4 and pin.k == 5,

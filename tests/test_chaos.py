@@ -16,7 +16,6 @@ from discdyn import (
     TargetFamily,
     angle_to_line,
     build_dense_seed,
-    build_parabolic_periodic,
     build_periodic_approximant,
     compose,
     compose_with_moebius,
@@ -44,6 +43,15 @@ from conftest import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _window(sched, n):
+    """Window n of a schedule, (lo, hi) on the line: the positive half
+    [lam^-k_n / n, n lam^-k_n] (hyperbolic) or [a k_n - n, a k_n + n] (parabolic)."""
+    k = sched.ks[n - 1]
+    if sched.kind == "hyperbolic":
+        return sched.rate ** (-k) / n, n * sched.rate ** (-k)
+    return sched.rate * k - n, sched.rate * k + n
 
 
 class TestSchedules:
@@ -75,13 +83,13 @@ class TestSchedules:
     def test_windows_nested_decreasing(self):
         sched = schedule("hyperbolic", 2.0, 5)
         for n in range(1, 5):
-            assert sched.b(n + 1) < sched.a(n)
+            assert _window(sched, n + 1)[1] < _window(sched, n)[0]
 
     def test_parabolic_windows_disjoint(self):
         sched = schedule("parabolic", 1.0, 5)
         for n in range(1, 5):
-            lo_next, _ = sched.window(n + 1)
-            _, hi = sched.window(n)
+            lo_next, _ = _window(sched, n + 1)
+            _, hi = _window(sched, n)
             assert hi < lo_next
 
     def test_rejects_bad_rates(self):
@@ -128,20 +136,13 @@ class TestTargetFamily:
             assert np.allclose(doubled.real, np.round(doubled.real), atol=1e-12)
             assert np.allclose(doubled.imag, np.round(doubled.imag), atol=1e-12)
 
-    def test_replaced(self):
-        fam = TargetFamily.generate(4, 1)
-        g = BoundaryFunction.constant(0.25j)
-        fam2 = fam.replaced(2, g)
-        assert fam2.functions[2].allclose(g)
-        assert fam2.functions[0].allclose(fam.functions[0])
-        assert len(fam2) == len(fam)
-
 
 class TestDenseSeed:
     def test_level_one_window_is_degenerate(self):
         # [1/n, n] collapses to a point for n = 1; that level carries nothing
         sched = schedule("hyperbolic", 2.0, 3)
-        assert sched.a(1) == sched.b(1)
+        lo, hi = _window(sched, 1)
+        assert lo == hi
 
     def test_agrees_with_rescaled_targets_on_windows(self):
         fam = TargetFamily.generate(4, 7)
@@ -150,7 +151,8 @@ class TestDenseSeed:
         for n in range(2, 5):
             k = sched.ks[n - 1]
             f_n = fam.functions[n - 1]
-            for x in np.linspace(sched.a(n) * 1.01, sched.b(n) * 0.99, 7):
+            lo, hi = _window(sched, n)
+            for x in np.linspace(lo * 1.01, hi * 0.99, 7):
                 s = line_to_angle(float(x))
                 expect = f_n.evaluate(line_to_angle(float(2.0**k * x)))
                 assert abs(seed.evaluate(s) - expect) < 1e-12
@@ -159,7 +161,8 @@ class TestDenseSeed:
         fam = TargetFamily.generate(3, 7)
         sched = schedule("hyperbolic", 2.0, 3)
         seed = build_dense_seed(fam, sched).boundary
-        gap = 0.5 * (sched.b(2) + sched.a(1))  # strictly between windows 2 and 1
+        (_, hi2), (lo1, _) = _window(sched, 2), _window(sched, 1)
+        gap = 0.5 * (hi2 + lo1)  # strictly between windows 2 and 1
         assert seed.evaluate(line_to_angle(gap)) == 0.0
         assert seed.evaluate(line_to_angle(1e9)) == 0.0
 
@@ -188,7 +191,8 @@ class TestDenseCertificate:
 
     def test_swapping_in_a_fresh_target_still_certifies(self):
         # the certificate is about window coverage, not the specific target
-        fam = TargetFamily.generate(3, 1).replaced(1, BoundaryFunction.constant(0.5))
+        f1, _, f3 = TargetFamily.generate(3, 1).functions
+        fam = TargetFamily((f1, BoundaryFunction.constant(0.5), f3))
         rows = dense_orbit_report(fam, schedule("hyperbolic", 2.0, 3))
         assert all(r.ok for r in rows)
 
@@ -325,7 +329,7 @@ class TestLineTranslate:
 class TestPeriodicApproximant:
     def test_frozen_small_case(self):
         f = BoundaryFunction([0.0, math.pi], [0.5, -0.5])
-        approx = build_periodic_approximant(f, 0.63, 2.0)
+        approx = build_periodic_approximant(f, 0.63, "hyperbolic", 2.0)
         assert approx.n == 4
         assert approx.k == 5
 
@@ -339,7 +343,7 @@ class TestPeriodicApproximant:
         from discdyn import compose_with_moebius
 
         f = BoundaryFunction([0.2, 1.5, 4.0], [0.5, -0.25, 0.75])
-        approx = build_periodic_approximant(f, 0.3, lam)
+        approx = build_periodic_approximant(f, 0.3, "hyperbolic", lam)
         M = approx.m_materialized
         gk = hyperbolic_multiplier(lam**approx.k)
         down = compose_with_moebius(approx.function.boundary, gk)
@@ -351,7 +355,7 @@ class TestPeriodicApproximant:
         from discdyn import compose_with_moebius
 
         f = BoundaryFunction([0.2, 1.5, 4.0], [0.5, -0.25, 0.75])
-        approx = build_parabolic_periodic(f, 0.3, 1.0)
+        approx = build_periodic_approximant(f, 0.3, "parabolic", 1.0)
         M = approx.m_materialized
         pk = parabolic_shift(float(approx.k))
         slid = compose_with_moebius(approx.function.boundary, pk)
@@ -360,7 +364,7 @@ class TestPeriodicApproximant:
     @pytest.mark.parametrize("eps", [0.3, 0.1])
     def test_certified_defects_hyperbolic(self, eps, rng):
         f = random_boundary(rng, n_pieces=4)
-        approx = build_periodic_approximant(f, eps, 2.0)
+        approx = build_periodic_approximant(f, eps, "hyperbolic", 2.0)
         dist, bar = approx.metric_defect()
         assert dist + bar <= eps
         l1, l1_bar = approx.l1_defect()
@@ -368,7 +372,7 @@ class TestPeriodicApproximant:
 
     def test_certified_defects_parabolic(self, rng):
         f = random_boundary(rng, n_pieces=4)
-        approx = build_parabolic_periodic(f, 0.2, 1.0)
+        approx = build_periodic_approximant(f, 0.2, "parabolic", 1.0)
         dist, bar = approx.metric_defect()
         assert dist + bar <= 0.2
 
@@ -376,20 +380,42 @@ class TestPeriodicApproximant:
         # a multiplier must exceed 1 and a shift must be positive
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         with pytest.raises(NotHyperbolicError):
-            build_periodic_approximant(f, 0.3, 0.5)
+            build_periodic_approximant(f, 0.3, "hyperbolic", 0.5)
         with pytest.raises(NotParabolicError):
-            build_parabolic_periodic(f, 0.3, -1.0)
+            build_periodic_approximant(f, 0.3, "parabolic", -1.0)
 
     def test_absurd_epsilon_raises(self):
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         with pytest.raises(ResolutionError):
-            build_periodic_approximant(f, 1e-13, 2.0)
+            build_periodic_approximant(f, 1e-13, "hyperbolic", 2.0)
+
+    @pytest.mark.parametrize(
+        "kind, rate",
+        [("hyperbolic", 1.001), ("hyperbolic", 2.0), ("hyperbolic", 1e7),
+         ("parabolic", 1e-3), ("parabolic", 1.0), ("parabolic", 7.0)],
+    )
+    @pytest.mark.parametrize("eps", [2.0, 0.3, 0.05, 0.01])
+    def test_materialized_range_is_minimal(self, kind, rate, eps):
+        # the far arcs past m_materialized fit in the floor, and those past
+        # one translate fewer do not: the range is the least that suffices,
+        # except where the 960-bit guard m_top cuts it short
+        f = BoundaryFunction([0.2, 1.5, 4.0], [0.5, -0.25, 0.75])
+        a = build_periodic_approximant(f, eps, kind, rate)
+        floor = 1e-9 if kind == "hyperbolic" else min(0.02, eps / 12.0)
+        m_top = 4000 if kind == "parabolic" else min(4000, int(960 / (a.k * math.log2(rate))) - 1)
+
+        def far(m):
+            return sum(arc.theta for arc in chaos._unrep_arcs_periodic(kind, rate, a.n, a.k, m))
+
+        m = a.m_materialized
+        assert far(m) <= floor * (1 + 1e-6) or m == m_top
+        assert m == 1 or far(m - 1) > floor * (1 - 1e-6)
 
     def test_k_strictly_beats_n_squared(self):
         # lambda^k > n^2 with the n^2 = lambda^k draw resolved upward
         f = BoundaryFunction([0.0, math.pi], [0.5, 0.0])
         for eps in (0.63, 0.3, 0.1):
-            a = build_periodic_approximant(f, eps, 2.0)
+            a = build_periodic_approximant(f, eps, "hyperbolic", 2.0)
             assert 2.0**a.k > a.n * a.n
             assert 2.0 ** (a.k - 1) <= a.n * a.n * (1 + 1e-9)
 

@@ -85,12 +85,18 @@ class TestCommands:
         row = _data_rows(tmp_path / "per.csv")[0].split(",")
         assert int(row[1]) == 4 and int(row[2]) == 5
 
-    def test_saved_boundary_reads_back_bit_exact(self, bdry, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, flag, rate",
+        [("hyperbolic", "--lambda", "2"), ("parabolic", "--shift", "1")],
+        ids=["lambda", "shift"],
+    )
+    def test_saved_boundary_reads_back_bit_exact(self, bdry, tmp_path, kind, flag, rate):
+        # the command's one builder call agrees with the library's for either kind
         from discdyn import chaos
 
         f = BoundaryFunction.from_json(bdry.read_text())
-        approx = chaos.build_periodic_approximant(f, 0.1, 2.0)
-        rc = main(["periodic", "--boundary", "f.json", "--epsilon", "0.1", "--lambda", "2", "--out", "per"])
+        approx = chaos.build_periodic_approximant(f, 0.1, kind, float(rate))
+        rc = main(["periodic", "--boundary", "f.json", "--epsilon", "0.1", flag, rate, "--out", "per"])
         assert rc == 0
         text = (tmp_path / "per.json").read_text()
         doc = json.loads(text)
