@@ -9,8 +9,9 @@ two-piece file with cuts 0 and 6.28; one `limit --lambda 1.001 --nmax 500`
 run follows a long orbit.  Every other command that writes numbers runs
 too: `foliate --points 500` at word lengths 4, 12 and 40 from base arcs of
 length 1e-3, pi and 2pi - 1e-3, whose short and near-full arcs print with
-2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`
-and one `projective`.  Last come `conjugate` runs of valid pairs that once
+2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`,
+`arcflow` at --lambda 1e17 and 1e-17 and --shift 1e9, rates whose group
+element double precision cannot hold, and one `projective`.  Last come `conjugate` runs of valid pairs that once
 exited 1 (`CONJUGATE_PAIRS`), on the default data and on one file, then
 `periodic` runs at epsilon 2, 0.63, 0.1, 0.05 and 0.01 for each of
 `PERIODIC_RATES`, the boundary files taken in turn; being last, they move no
@@ -26,7 +27,10 @@ when there is any.  A differing output is measured too:
 - `limit`: the largest gap of an oscillation or value;
 - `conjugate`: each side's exit code, exponent, residual and bar, and
   whether residual <= tol + bar holds;
-- `periodic`: each side's CSV row and its count of JSON breakpoints.
+- `periodic`: each side's CSV row and its count of JSON breakpoints;
+- `foliate` and `arcflow`: the largest relative change of theta over the
+  rows where the parent's theta exceeds 1e-12, and how many rows it left at
+  or below 1e-12.
 The exit status is 0 when everything agrees and 1 otherwise.
 
 Example:
@@ -116,6 +120,7 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
             runs.append(["foliate", "--points", "500", "--max-word-len", length, "--base-theta", theta])
     runs.append(["extend", *bdry(names[4]), "--grid", "32"])
     runs.append(["arcflow", "--lambda", "2", "--base-theta", "1e-07", "--steps", "200"])
+    runs += [["arcflow", *r] for r in (["--lambda", "1e17"], ["--lambda", "1e-17"], ["--shift", "1e9"])]
     runs.append(["projective"])
     for pair in CONJUGATE_PAIRS:
         runs += [["conjugate", *pair], ["conjugate", *bdry(names[3]), *pair]]
@@ -178,12 +183,29 @@ def periodic_summary(outs) -> str:
     return f"CSV row {row} with {len(cuts)} JSON breakpoints"
 
 
+def theta_change(out_a, out_b) -> str:
+    """The largest relative change of the theta column (the last) over the
+    rows where the parent's theta exceeds 1e-12, and the count of the others."""
+    if out_a is None or out_b is None:
+        return "; one side wrote no CSV"
+    a, b = _csv_rows(out_a)[:, -1], _csv_rows(out_b)[:, -1]
+    if a.shape != b.shape:
+        return "; row counts differ"
+    resolved = a > 1e-12
+    rel = np.abs(b[resolved] - a[resolved]) / a[resolved]
+    return (f"; theta moves <= {np.max(rel, initial=0.0):.3g} relative on the {resolved.sum()} "
+            f"rows the parent resolved; parent rows at or below 1e-12: {(~resolved).sum()}")
+
+
 def measure(cuts, argv, key, rcs, outs_a, outs_b) -> str:
-    """What a differing output of `periodic`, or a differing --out file of
-    `act`, `orbit`, `limit` or `conjugate`, moved by; rcs are the two exit
-    codes and outs_a, outs_b each side's outputs by name."""
+    """What a differing output of `periodic`, a differing CSV of `foliate` or
+    `arcflow`, or a differing --out file of `act`, `orbit`, `limit` or
+    `conjugate`, moved by; rcs are the two exit codes and outs_a, outs_b each
+    side's outputs by name."""
     if argv[0] == "periodic" and key != "stderr":
         return f"; parent {periodic_summary(outs_a)}; change {periodic_summary(outs_b)}"
+    if (argv[0], key) in (("foliate", ".csv"), ("arcflow", "")):
+        return theta_change(outs_a.get(key), outs_b.get(key))
     if key != "":
         return ""
     out_a, out_b = outs_a.get(key), outs_b.get(key)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moebius
-from .arcspace import act_arc
+from .arcspace import act_arc, line_matrix
 from .boundary import (
     TWO_PI,
     Arc,
@@ -498,6 +498,22 @@ def as_element(gamma) -> MoebiusElement:
         return gamma
     kind, rate = gamma
     return moebius.hyperbolic_multiplier(rate) if kind == "hyperbolic" else moebius.parabolic_shift(rate)
+
+
+def line_map(gamma) -> tuple[float, float, float, float]:
+    """(a, b, c, d), ad - bc = 1, of gamma acting on the line as
+    x -> (a x + b)/(c x + d): a normal form's own matrix, diag(sqrt(rate),
+    1/sqrt(rate)) or [[1, rate], [0, 1]], so that no element is formed and
+    any multiplier or shift a double holds acts, or an element's
+    `arcspace.line_matrix`."""
+    if isinstance(gamma, MoebiusElement):
+        return tuple(float(e) for e in line_matrix(gamma.alpha, gamma.beta))
+    class_of(gamma)  # rejects a multiplier that is not positive
+    kind, rate = gamma
+    if kind == "parabolic":
+        return 1.0, rate, 0.0, 1.0
+    r = math.sqrt(rate)
+    return r, 0.0, 0.0, 1.0 / r
 
 
 def _normalizer(g: MoebiusElement) -> tuple[MoebiusElement, float]:

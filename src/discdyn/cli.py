@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import _numtext, chaos, foliation, moebius, poisson
-from .arcspace import Arc, act_arc
+from .arcspace import Arc, act_arc, iterate_arc  # noqa: F401  (perfbench wraps cli.act_arc)
 from .boundary import BoundaryFunction, TWO_PI, indicator
 # bound here for perfbench/test_perfbench.py::test_every_binding_is_wrapped_and_restored
 from .boundary import compose_with_moebius  # noqa: F401
@@ -238,15 +238,10 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_arcflow(args) -> int:
-    g = chaos.as_element(_element_from_args(args))
-    x = Arc(args.base_zeta, args.base_theta)
-    rows = []
-    for step in range(args.steps + 1):
-        rows.append((step, x.zeta.real, x.zeta.imag, x.theta))
-        x = act_arc(g, x)
-    _write_csv(
-        args.out, "arcflow", args, ["step", "zeta_re", "zeta_im", "theta"], zip(*rows)
-    )
+    m = chaos.line_map(_element_from_args(args))
+    zeta, theta = iterate_arc(m, Arc(args.base_zeta, args.base_theta), args.steps)
+    columns = [np.arange(args.steps + 1), zeta.real, zeta.imag, theta]
+    _write_csv(args.out, "arcflow", args, ["step", "zeta_re", "zeta_im", "theta"], columns)
     return 0
 
 

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from . import moebius
-from .arcspace import Arc, act_arc, act_arcs  # noqa: F401  (perfbench wraps foliation.act_arc)
+from .arcspace import Arc, act_arc, line_arcs, line_matrix, line_step, read_arcs, rescaled  # noqa: F401  (perfbench wraps foliation.act_arc)
 from .boundary import TWO_PI, check_arcs
 from .moebius import MoebiusElement
 
@@ -128,24 +128,42 @@ def _apply_words(letters, table: np.ndarray, lengths: np.ndarray, base: Arc):
     Row r of the table holds its word in its first lengths[r] columns.  The
     columns act right to left, each on the rows whose word reaches it, so g
     acts as l0(l1(...lk(base))); with the rows sorted by length, longest
-    first, those rows are a prefix.  No product matrix is formed: its entries
-    grow exponentially with the word length, and once |alpha| nears 1e8,
-    |alpha|^2 - |beta|^2 cancels to nothing in double precision.  Returns
-    the image starts and lengths as arrays, checked as `Arc` checks them.
+    first, those rows are a prefix.  The arcs act in the line coordinate
+    (`arcspace`): the base becomes (q, p, det) once, each column is four
+    `take`s of the letters' line matrices and one step of both half-angle
+    vectors, and det, which a unimodular step keeps, is carried to the
+    read-out, so an image length is relative to itself however short.  The
+    vectors grow by at most a factor |alpha| + |beta| per letter and are
+    rescaled by exact powers of two before they could leave 2^+-500.  No
+    product matrix is formed: its entries grow exponentially with the word
+    length, and once |alpha| nears 1e8, |alpha|^2 - |beta|^2 cancels to
+    nothing in double precision.  Rows of length 0 are the base arc, bit for
+    bit.  Returns the image starts and lengths as arrays, checked as `Arc`
+    checks them.
     """
     alpha = np.array([g.alpha for g in letters])
     beta = np.array([g.beta for g in letters])
+    m = line_matrix(alpha, beta)
+    grow = np.log2(np.max(np.abs(alpha) + np.abs(beta)))  # bits per letter, at most
+    every = max(1, int(500.0 / max(grow, 1.0)))
     order = np.argsort(-lengths, kind="stable")
     table = table[order]
     reach = np.searchsorted(-lengths[order], -np.arange(table.shape[1]), "left")
     zeta = np.full(len(table), base.zeta)
     theta = np.full(len(table), base.theta)
+    rows = reach[0] if table.shape[1] else 0
+    q, p, det = line_arcs(base.zeta, base.theta)
+    q, p, det = np.repeat(q[:, None], rows, 1), np.repeat(p[:, None], rows, 1), np.full(rows, det)
     for j in range(table.shape[1] - 1, -1, -1):
         on = slice(0, reach[j])
         idx = table[on, j]
-        zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
+        step = tuple(np.take(e, idx) for e in m)
+        q[:, on], p[:, on] = line_step(step, q[:, on], p[:, on])
+        if j and (table.shape[1] - j) % every == 0:
+            q, p, det = rescaled(q, p, det)
+    zeta[:rows], theta[:rows] = check_arcs(*read_arcs(q, p, det))
     zeta[order], theta[order] = zeta.copy(), theta.copy()  # back to table order
-    return check_arcs(zeta, theta)
+    return zeta, theta
 
 
 def orbit_sample(

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -130,6 +132,14 @@ class TestCommands:
         rc = main(["arcflow", "--shift", "1.0", "--steps", "5", "--out", "fl.csv"])
         assert rc == 0
         assert len(_data_rows(tmp_path / "fl.csv")) == 6
+
+    def test_foliate_keeps_short_images(self, bdry, tmp_path):
+        # words of up to 40 letters shrink a 1e-3 arc to about 1e-49; the
+        # lengths are read out relative to themselves, so no row writes 0
+        argv = ["foliate", "--points", "500", "--max-word-len", "40", "--base-theta", "0.001"]
+        assert main([*argv, "--out", "fo"]) == 0
+        thetas = [float(r.split(",")[3]) for r in _data_rows(tmp_path / "fo.csv")]
+        assert len(thetas) == 500 and min(thetas) > 0.0
 
     def test_foliate_summary_keys(self, bdry, tmp_path):
         rc = main(["foliate", "--points", "150", "--max-word-len", "4", "--grid", "16", "--out", "fo"])
@@ -361,13 +371,21 @@ class TestExitCodes:
         "flag, rate", [("--lambda", "1e17"), ("--lambda", "1e-17"), ("--shift", "1e9")]
     )
     def test_rate_beyond_double_resolution(self, bdry, tmp_path, capsys, flag, rate):
-        # |alpha|^2 - |beta|^2 of the normal form cancels to 0 in doubles;
-        # arcflow still forms the element
-        assert main(["arcflow", flag, rate, "--out", "g.json"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert len(err.splitlines()) == 1 and repr(float(rate)) in err
-        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+        # |alpha|^2 - |beta|^2 of the normal form cancels to 0 in doubles, so
+        # arcflow forms no element: it acts by the normal form's line matrix
+        argv = ["arcflow", flag, rate, "--base-theta", "2", "--steps", "3", "--out", "g.csv"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = [[float(x) for x in r.split(",")] for r in _data_rows(tmp_path / "g.csv")]
+        assert [r[0] for r in rows] == [0, 1, 2, 3]
+        for n, (_, zeta_re, zeta_im, theta) in enumerate(rows):
+            with mpmath.workdps(60):  # the base arc's ends are x = 0 and x = tan(1)
+                r, x = mpmath.mpf(rate), mpmath.tan(1)
+                ends = (0, x * r**n) if flag == "--lambda" else (n * r, x + n * r)
+                start, end = (2 * mpmath.atan(y) for y in ends)
+                expect = float(end - start)  # in (0, pi) for these maps
+            assert abs(complex(zeta_re, zeta_im) - cmath.exp(1j * float(start))) <= 1e-15
+            assert abs(theta - expect) <= 1e-13 * expect, (n, theta, expect)
 
     def test_validation_gate_exits_two(self, bdry):
         assert main(["projective", "--samples", "50", "--tol", "1e-18"]) == 2

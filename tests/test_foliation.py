@@ -19,18 +19,21 @@ from discdyn import (
     coverage_statistic,
     coverage_sweep,
     extend,
+    compose,
     genus2_group,
+    hyperbolic_multiplier,
     inverse,
     orbit_sample,
     projective_act,
     projective_f,
     random_projective_point,
     relation_residual,
+    rotation,
     short_word_scan,
 )
 
 from discdyn import foliation
-from discdyn.arcspace import act_arcs
+from discdyn.arcspace import line_arcs, line_matrix, line_step, read_arcs
 from discdyn.boundary import check_arcs
 from discdyn.foliation import _apply_words, _word_table
 
@@ -167,13 +170,13 @@ class TestOrbitSampling:
         assert fr[-1] > 0.0
 
 
-def _oracle_image(letters, word, zeta, theta):
-    """The word's product matrix at 60 digits, applied to both ends of the arc.
+def _oracle_image(letters, word, zeta, theta, dps=60):
+    """The word's product matrix at dps digits, applied to both ends of the arc.
 
     Returns the image start and the angle from the image start to the image
     end, in [0, 2pi).
     """
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         a, b = mpmath.mpc(1), mpmath.mpc(0)
         for i in word:
             la, lb = mpmath.mpc(letters[i].alpha), mpmath.mpc(letters[i].beta)
@@ -202,6 +205,29 @@ class TestLetterByLetterAction:
             worst_theta = max(worst_theta, abs(t - theta))
         assert worst_zeta <= 1e-13 and worst_theta <= 1e-13, (worst_zeta, worst_theta)
 
+    def test_length_40_short_arcs_stay_relative(self):
+        # images from base length 1e-3 reach 1e-49: each length is read out
+        # from the carried determinant, never as a difference of O(1) values,
+        # so none collapses to 0.  100 digits: at 60, the oracle's own product
+        # leaves 3e-13 relative on the shortest images.
+        letters = genus2_group().letters()
+        table = _word_table(np.random.default_rng(40), len(letters), 100, 40)
+        base = Arc(np.exp(0.7j), 1e-3)
+        _, thetas = _apply_words(letters, table, np.full(100, 40), base)
+        assert np.all(thetas > 0.0)
+        for word, t in zip(table.tolist(), thetas):
+            expect = _oracle_image(letters, word, base.zeta, base.theta, dps=100)[1]
+            assert abs(t - expect) <= 1e-12 * expect, (word, t, expect)
+
+    def test_length_40_near_full_arcs(self):
+        letters = genus2_group().letters()
+        table = _word_table(np.random.default_rng(41), len(letters), 100, 40)
+        base = Arc(np.exp(2.2j), TWO_PI - 1e-3)
+        _, thetas = _apply_words(letters, table, np.full(100, 40), base)
+        for word, t in zip(table.tolist(), thetas):
+            expect = _oracle_image(letters, word, base.zeta, base.theta, dps=100)[1]
+            assert abs(t - expect) <= 1e-13, (word, t, expect)
+
     @pytest.mark.parametrize("theta", [0.0, TWO_PI])
     def test_boundary_circles_stay_exact(self, theta):
         letters = genus2_group().letters()
@@ -214,23 +240,61 @@ class TestLetterByLetterAction:
 
     @pytest.mark.parametrize("seed, width", [(0, 12), (1, 12), (2, 4), (3, 0)])
     def test_prefix_loop_matches_the_mask_loop(self, seed, width):
-        # the previous loop, kept as the oracle: each column acts on the rows
-        # a boolean mask picks, in table order
+        # the previous loop, kept as the oracle: each column steps the rows a
+        # boolean mask picks, in table order, by the per-letter line step
         letters = genus2_group().letters()
         rng = np.random.default_rng(seed)
         lengths = rng.integers(0, width + 1, 400)
         table = _word_table(rng, len(letters), 400, width)
         base = Arc(np.exp(1j * seed), 0.4 + seed)
-        alpha = np.array([g.alpha for g in letters])
-        beta = np.array([g.beta for g in letters])
-        zeta, theta = np.full(400, base.zeta), np.full(400, base.theta)
+        m = line_matrix([g.alpha for g in letters], [g.beta for g in letters])
+        q, p, det = line_arcs(np.full(400, base.zeta), np.full(400, base.theta))
         for j in range(width - 1, -1, -1):
             on = lengths > j
-            idx = table[on, j]
-            zeta[on], theta[on] = act_arcs(alpha[idx], beta[idx], zeta[on], theta[on])
-        expect = check_arcs(zeta, theta)
+            step = tuple(e[table[on, j]] for e in m)
+            q[:, on], p[:, on] = line_step(step, q[:, on], p[:, on])
+        zeta, theta = check_arcs(*read_arcs(q, p, det))
+        zeta[lengths == 0], theta[lengths == 0] = base.zeta, base.theta
         got = _apply_words(letters, table, lengths, base)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (zeta, theta)]
+        if width == 0:  # no letter: the base arc itself, bit for bit
+            assert [a.tobytes() for a in got] == [
+                np.full(400, base.zeta).tobytes(), np.full(400, base.theta).tobytes()
+            ]
+
+    def test_rescaling_keeps_every_value(self):
+        # letters of norm about 1e6 rescale the vectors every 25 columns; the
+        # rescaled determinant must read out as the unscaled one does.  g has
+        # order 5, so no power of it leaves double range unscaled.
+        boost = hyperbolic_multiplier(1e6)
+        g = compose(compose(boost, rotation(TWO_PI / 5)), inverse(boost))
+        letters = (g, inverse(g))
+        table = _word_table(np.random.default_rng(5), 2, 50, 60)
+        lengths = np.random.default_rng(6).integers(1, 61, 50)
+        base = Arc(np.exp(0.3j), 1e-3)
+        m = line_matrix([h.alpha for h in letters], [h.beta for h in letters])
+        q, p, det = line_arcs(np.full(50, base.zeta), np.full(50, base.theta))
+        for j in range(59, -1, -1):
+            on = lengths > j
+            step = tuple(e[table[on, j]] for e in m)
+            q[:, on], p[:, on] = line_step(step, q[:, on], p[:, on])
+        zeta, theta = _apply_words(letters, table, lengths, base)
+        expect_zeta, expect_theta = read_arcs(q, p, det)
+        assert np.all(np.abs(zeta - expect_zeta) <= 1e-15)
+        assert np.all(np.abs(theta - expect_theta) <= 1e-15 * expect_theta)
+
+    def test_words_past_double_range_rescale(self):
+        # 400 letters grow the vectors to about 2^640, and their squares past
+        # what a double holds; rescaling keeps every start and every
+        # near-full length (the oracle may read 2pi - 1e-300 as 0)
+        letters = genus2_group().letters()
+        table = _word_table(np.random.default_rng(400), len(letters), 20, 400)
+        base = Arc(np.exp(1.1j), TWO_PI - 1e-3)
+        zetas, thetas = _apply_words(letters, table, np.full(20, 400), base)
+        for word, z, t in zip(table.tolist(), zetas, thetas):
+            zeta, theta = _oracle_image(letters, word, base.zeta, base.theta, dps=100)
+            gap = abs(t - theta)
+            assert abs(z - zeta) <= 1e-13 and min(gap, TWO_PI - gap) <= 1e-13, (z, zeta, t, theta)
 
     def test_mixed_lengths_act_right_to_left(self):
         # g = l0 l1 ... lk acts as l0(l1(...lk(x))), whatever the other words'
