@@ -11,11 +11,11 @@ too: `foliate --points 500` at word lengths 4, 12 and 40 from base arcs of
 length 1e-3, pi and 2pi - 1e-3, whose short and near-full arcs print with
 2- and 3-digit exponents, one `extend`, one `arcflow --base-theta 1e-07`,
 `arcflow` at --lambda 1e17 and 1e-17 and --shift 1e9, rates whose group
-element double precision cannot hold, and one `projective`.  Last come `conjugate` runs of valid pairs that once
-exited 1 (`CONJUGATE_PAIRS`), on the default data and on one file, then
-`periodic` runs at epsilon 2, 0.63, 0.1, 0.05 and 0.01 for each of
-`PERIODIC_RATES`, the boundary files taken in turn; being last, they move no
-seeded draw.  Both trees are imported into this process
+element double precision cannot hold, and one `projective`.  Last come
+`conjugate` runs of valid pairs that once exited 1 (`CONJUGATE_PAIRS`), on
+the default data and on one file, then `periodic` runs at epsilon 2, 0.63,
+0.1, 0.05 and 0.01 for each of `PERIODIC_RATES`, the boundary files taken in
+turn; being last, they move no seeded draw.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output

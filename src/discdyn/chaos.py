@@ -500,14 +500,14 @@ def as_element(gamma) -> MoebiusElement:
     return moebius.hyperbolic_multiplier(rate) if kind == "hyperbolic" else moebius.parabolic_shift(rate)
 
 
-def line_map(gamma) -> tuple[float, float, float, float]:
+def line_map(gamma):
     """(a, b, c, d), ad - bc = 1, of gamma acting on the line as
     x -> (a x + b)/(c x + d): a normal form's own matrix, diag(sqrt(rate),
     1/sqrt(rate)) or [[1, rate], [0, 1]], so that no element is formed and
     any multiplier or shift a double holds acts, or an element's
     `arcspace.line_matrix`."""
     if isinstance(gamma, MoebiusElement):
-        return tuple(float(e) for e in line_matrix(gamma.alpha, gamma.beta))
+        return line_matrix(gamma.alpha, gamma.beta)
     class_of(gamma)  # rejects a multiplier that is not positive
     kind, rate = gamma
     if kind == "parabolic":

@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import _numtext, chaos, foliation, moebius, poisson
-from .arcspace import Arc, act_arc, iterate_arc  # noqa: F401  (perfbench wraps cli.act_arc)
+from .arcspace import act_arc  # noqa: F401  (perfbench wraps cli.act_arc)
+from .arcspace import Arc, iterate_arc
 from .boundary import BoundaryFunction, TWO_PI, indicator
 # bound here for perfbench/test_perfbench.py::test_every_binding_is_wrapped_and_restored
 from .boundary import compose_with_moebius  # noqa: F401

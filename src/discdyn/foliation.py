@@ -17,7 +17,8 @@ from functools import reduce
 import numpy as np
 
 from . import moebius
-from .arcspace import Arc, act_arc, line_arcs, line_matrix, line_step, read_arcs, rescaled  # noqa: F401  (perfbench wraps foliation.act_arc)
+from .arcspace import act_arc  # noqa: F401  (perfbench wraps foliation.act_arc)
+from .arcspace import Arc, line_arcs, line_matrix, line_step, read_arcs, rescaled
 from .boundary import TWO_PI, check_arcs
 from .moebius import MoebiusElement
 

@@ -8,9 +8,9 @@ are one closed form, the Fourier series of the data summed:
 a principal value each, as Re(1 - z e^{-is}) > 0 inside the disc.  No
 quadrature is involved (adaptive quadrature is used only as an independent
 oracle in the test suite).  The harmonic measure `arcspace.big_F` uses the
-increasing antiderivative V(s) = 2*atan(((1+r)/(1-r)) * tan((s-t)/2)) of the Poisson
-kernel (1-r^2)/|e^{is}-z|^2 at z = r*e^{it}, unwrapped across the tangent
-poles so that V(s + 2pi) = V(s) + 2pi exactly.
+increasing antiderivative V(s) = 2*atan(((1+r)/(1-r)) * tan((s-t)/2)) of the
+Poisson kernel (1-r^2)/|e^{is}-z|^2 at z = r*e^{it}, unwrapped across the
+tangent poles so that V(s + 2pi) = V(s) + 2pi exactly.
 
 The metric is ||phi|| = sum_n sup_{|z|<=1-1/n} |phi| / (n^2 2^n), truncated at
 n_max, and is evaluated spectrally: with jumps J_j at s_j the data have
