@@ -13,7 +13,10 @@ which `cli_battery.py` shares).  `--op orbit` (20 steps) and `--op limit`
 (40 rows) run those commands on random boundary files of 2 to 64 pieces
 under --lambda in [1.5, 4] or --shift in [0.5, 3], so their time per op is
 a fixed number of rows; they count identical outputs but do not require
-them.  Each
+them.  `--op dense` does the same for `dense --levels 4` under --lambda 2, 3
+and 10 and --shift 1 and 2, `dense --lambda 10 --levels 8` and `dense
+--shift 2 --levels 6` in turn (the dense runs of perfbench's `certify`),
+each with a random target family.  Each
 alternation times every op on both sides, in an order that swaps from one
 alternation to the next.  Both sides see the same machine state, so this
 separates small per-op changes that separate-process pairs lose in the
@@ -27,6 +30,7 @@ Example:
     python3 scripts/ab_inprocess.py ../parent . --ops 200 --alternations 20 --seed 4321
     python3 scripts/ab_inprocess.py ../parent . --op foliate --ops 60 --alternations 10
     python3 scripts/ab_inprocess.py ../parent . --op orbit --ops 20 --alternations 10
+    python3 scripts/ab_inprocess.py ../parent . --op dense --ops 14 --alternations 10
 """
 
 import argparse
@@ -167,8 +171,26 @@ def make_orbit_ops(n_ops: int, seed: int, workdir: str, command="orbit") -> list
     return ops
 
 
+DENSE_CONFIGS = (
+    *(["dense", *rate, "--levels", "4"] for rate in (["--lambda", "2"], ["--lambda", "3"],
+                                                    ["--lambda", "10"], ["--shift", "1"],
+                                                    ["--shift", "2"])),
+    ["dense", "--lambda", "10", "--levels", "8"],
+    ["dense", "--shift", "2", "--levels", "6"],
+)
+
+
+def make_dense_ops(n_ops: int, seed: int, workdir: str) -> list:
+    """Argument lists of the `dense` op, without --out: the configurations of
+    DENSE_CONFIGS in turn, each with a random target family (--seed)."""
+    rng = np.random.default_rng(seed)
+    return [DENSE_CONFIGS[i % len(DENSE_CONFIGS)] + ["--seed", str(int(rng.integers(0, 2**31)))]
+            for i in range(n_ops)]
+
+
 OPS = {
     "metric": (make_metric_ops, run_metric_ops),
+    "dense": (make_dense_ops, run_cli_ops),
     "foliate": (make_foliate_ops, run_cli_ops),
     "orbit": (make_orbit_ops, run_cli_ops),
     "limit": (functools.partial(make_orbit_ops, command="limit"), run_cli_ops),

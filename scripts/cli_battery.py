@@ -15,7 +15,9 @@ element double precision cannot hold, and one `projective`.  Last come
 `conjugate` runs of valid pairs that once exited 1 (`CONJUGATE_PAIRS`), on
 the default data and on one file, then `periodic` runs at epsilon 2, 0.63,
 0.1, 0.05 and 0.01 for each of `PERIODIC_RATES`, the boundary files taken in
-turn; being last, they move no seeded draw.  Both trees are imported into this process
+turn, and the deep tables: `dense --lambda 10 --levels 8`, `dense --shift 2
+--levels 6` and `orbit --lambda 2 --steps 200` on "edge" and on the 4-piece
+file; being last, they move no seeded draw.  Both trees are imported into this process
 (`ab_inprocess.load`) and run the whole list on the same input files through
 `ab_inprocess.run_cli_ops`.  The script prints how many runs end with equal
 exit codes and how many outputs are byte-identical, and names each output
@@ -127,6 +129,9 @@ def make_runs(rng, names: list[str], inputs: str) -> list[list[str]]:
     periodic = [(eps, r) for eps in ("2", "0.63", "0.1", "0.05", "0.01") for r in PERIODIC_RATES]
     for i, (eps, r) in enumerate(periodic):
         runs.append(["periodic", *bdry(names[i % len(names)]), *r, "--epsilon", eps])
+    runs += [["dense", "--lambda", "10", "--levels", "8"],
+             ["dense", "--shift", "2", "--levels", "6"]]
+    runs += [["orbit", *bdry(name), "--lambda", "2", "--steps", "200"] for name in ("edge", "p04")]
     return runs
 
 

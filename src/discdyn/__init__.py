@@ -84,7 +84,9 @@ from .poisson import (
     extend_many,
     limit_diagnostic,
     metric_distance,
+    metric_distances,
     metric_norm,
+    metric_norms,
 )
 
 __version__ = "0.1.0"

@@ -61,7 +61,7 @@ from .boundary import (
     wrap_angle,
 )
 from .moebius import MoebiusElement, ResolutionError
-from .poisson import CompactExhaustion, HarmonicFunction, metric_distance
+from .poisson import CompactExhaustion, HarmonicFunction, metric_distance, metric_distances
 
 
 class NotHyperbolicError(ValueError):
@@ -368,13 +368,11 @@ def dense_orbit_report(
         raise ValueError("more levels requested than family members")
     lvl = min(len(family), n_levels + 2)
     windows = _dense_windows(family, sched, lvl)
-    rows = []
-    for n in range(1, n_levels + 1):
-        k = sched.ks[n - 1]
-        shifted = _dense_translate(windows, sched, lvl, len(family), k)
-        dist, bar = metric_distance(shifted, HarmonicFunction(family.functions[n - 1]), ex)
-        rows.append(CertificateRow(n, k, dist, _off_window(n, sched.kind) / math.pi, bar))
-    return rows
+    ns = range(1, n_levels + 1)
+    pairs = [(_dense_translate(windows, sched, lvl, len(family), sched.ks[n - 1]),
+              HarmonicFunction(family.functions[n - 1])) for n in ns]
+    return [CertificateRow(n, sched.ks[n - 1], dist, _off_window(n, sched.kind) / math.pi, bar)
+            for n, (dist, bar) in zip(ns, metric_distances(pairs, ex))]
 
 
 # --- periodic approximant ----------------------------------------------------

@@ -201,9 +201,10 @@ def cmd_act(args) -> int:
 def cmd_orbit(args) -> int:
     f = _load_boundary(args.boundary)
     ex = CompactExhaustion()
+    fns = list(chaos.translates(f, _element_from_args(args), args.steps))
+    norms = poisson.metric_norms([HarmonicFunction(fn) for fn in fns], ex)
     rows = []
-    for n, fn in enumerate(chaos.translates(f, _element_from_args(args), args.steps)):
-        val, bar = poisson.metric_norm(HarmonicFunction(fn), ex)
+    for n, (fn, (val, bar)) in enumerate(zip(fns, norms)):
         m = fn.mean()
         rows.append((n, val, bar, m.real, m.imag))
     _write_csv(

@@ -13,12 +13,14 @@ Poisson kernel (1-r^2)/|e^{is}-z|^2 at z = r*e^{it}, unwrapped across the
 tangent poles so that V(s + 2pi) = V(s) + 2pi exactly.
 
 The metric is ||phi|| = sum_n sup_{|z|<=1-1/n} |phi| / (n^2 2^n), truncated at
-n_max, and is evaluated spectrally: with jumps J_j at s_j the data have
-Fourier coefficients c_k = sum_j J_j e^{-iks_j} / (2pi ik), computed once per
-call, and each circle |z| = r is one inverse FFT of c_k r^|k|.  Grid maxima
-become true sups through a bound on |d^2u/dt^2| read off the coefficients
-(at most J r / (pi (1-r)^2), J = sum |J_j|): each grid cell over budget is
-quartered, its new points from the closed form (one evaluator per call).
+n_max, and is evaluated spectrally, a table of functions at a time
+(`metric_norms`; `metric_norm` is its one-row table): with jumps J_j at s_j
+the data have Fourier coefficients c_k = sum_j J_j e^{-iks_j} / (2pi ik),
+computed once per row, and each circle |z| = r is one inverse FFT of
+c_k r^|k|.  Grid maxima become true sups through a bound on |d^2u/dt^2| read
+off the coefficients (at most J r / (pi (1-r)^2), J = sum |J_j|): each grid
+cell over budget is quartered, its new points from the closed form (one
+evaluator per row), in one refinement loop for all circles of the table.
 Every reported value carries an error bar that is an upper bound by
 construction: the series tail, the unrepresented arcs, and per level the cell
 allowance, the truncation tail J r^{K+1} / (pi (K+1)(1-r)) of the damped
@@ -50,6 +52,7 @@ _CHUNK_PAIRS = 1 << 18  # array entries formed at once: exponentials, circle poi
 _SUP_BUDGET = 1e-11  # weighted cell allowance each level may leave in the bar
 _HALVINGS = 24  # halvings of a cell per level; a refinement round quarters, two at once
 _CELL_CAP = 1 << 10  # cells one round may split on a circle; past it the excess is in the bar
+_TABLE_ROWS = 32  # rows of a table that share one refinement loop (see metric_norms)
 
 
 class NearBoundaryError(ValueError):
@@ -189,8 +192,9 @@ def _fourier_coefficients(f: BoundaryFunction, k: int) -> tuple[np.ndarray, np.n
     e^{-i(k0+j)s} = e^{-ik0 s} e^{-ijs}, at most _CHUNK_PAIRS of them at once.
     """
     br = f.breakpoints
-    jumps = f.jumps()
-    both = np.stack([jumps, jumps.conj()], axis=1)
+    both = np.empty((br.size, 2), dtype=complex)  # (J_j, conj(J_j)) per cut
+    both[:, 0] = f.jumps()
+    np.conjugate(both[:, 0], out=both[:, 1])
     pos = np.empty(k + 1, dtype=complex)
     neg = np.empty(k + 1, dtype=complex)
     pos[0] = neg[0] = f.mean()
@@ -215,8 +219,12 @@ def _truncation_tail(jump_sum: float, radii, k):
     return jump_sum * radii ** (k + 1.0) / (math.pi * (k + 1.0) * (1.0 - radii))
 
 
-def _terms_needed(jump_sum: float, radii: np.ndarray, tol) -> np.ndarray:
+def _terms_needed(jump_sum, radii: np.ndarray, tol) -> np.ndarray:
     """Least k per radius whose truncation tail is at most tol (may be inf).
+
+    jump_sum > 0, radii and tol broadcast together, so a column of jump sums
+    against the radii of the levels gives a table's term counts in one call,
+    each entry the one its own row's call gives.
 
     With y = k + 1, L = -log r and v = log(y L) the tail is at most tol iff
     e^v + v >= c = log(L J / (tol pi (1-r))).  Newton on the convex e^v + v = c
@@ -225,8 +233,6 @@ def _terms_needed(jump_sum: float, radii: np.ndarray, tol) -> np.ndarray:
     the least k with r^{k+1} <= tol pi (1-r) / J, which suffices since
     1/(k+1) <= 1; in logs, so a huge or infinite tol gives k = 0.
     """
-    if jump_sum == 0.0:
-        return np.zeros(radii.shape, dtype=int)
     log_arg = np.log(tol) + np.log(math.pi * (1.0 - radii) / jump_sum)
     rate = -np.log(radii)
     c = np.maximum(np.log(rate) - log_arg, -700.0)  # e^v underflows below
@@ -267,60 +273,84 @@ def _circle_values(
 
 
 def _level_sups(
-    f: BoundaryFunction, pos: np.ndarray, neg: np.ndarray, radii: np.ndarray,
-    sizes: np.ndarray, tols: np.ndarray, jump_sum: float,
+    fs: list[BoundaryFunction], pos: np.ndarray, neg: np.ndarray, radii: np.ndarray,
+    sizes: np.ndarray, tols: np.ndarray, jump_sums: np.ndarray, coef_at: list[int],
+    circle_at: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(grid max, error) of sup |u| on each circle |z| = radii[i], u the extension of f.
+    """(grid max, error) of sup |u| on each circle |z| = radii[i] of a table of rows.
 
-    The true sup lies within error of the grid max.  |u| is subharmonic, so
-    the circle carries the sup over the closed disc of that radius.  Circle i
-    is sampled on sizes[i] points with the terms |j| <= k that fit.  With
+    Row r is u, the extension of fs[r]: its Fourier coefficients are
+    pos[coef_at[r]:coef_at[r+1]] (and neg), J = jump_sums[r] is the sum of
+    its |J_j|, and its circles are circle_at[r]:circle_at[r+1] of the flat
+    arrays radii, sizes and tols.  The true sup lies within error of the grid
+    max.  |u| is subharmonic, so the circle carries the sup over the closed
+    disc of that radius.  Circle i is sampled on sizes[i] points with the
+    terms |j| <= k that fit.  With
     |d^2u/dt^2| <= C = sum_{|j|<=k} j^2 |c_j| r^|j| + (J/pi) sum_{j>k} j r^j
     (as |c_j| <= J/(2pi|j|); at most J r/(pi(1-r)^2)), a cell of width h has
     sup at most max(|u(a)|, |u(b)|) + h^2 C / 8.  Every grid cell's bound is
     formed on the sampled circles; those within tols[i] of their circle's best
-    value are final, and the others are quartered, on all circles at once,
-    their three interior points evaluated in one call per round of one
-    `_closed_form`.  A circle stops after _HALVINGS / 2 rounds (cells of width
-    h / 2^_HALVINGS), or when more than _CELL_CAP of its cells are over budget.
-    error = the largest cell excess left, plus the truncation tail
-    J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the series, the FFT and
-    the closed form.  The caller sizes k and the grid to a weighted truncation
-    budget per level, so the tail may be large where the weight is small; C
-    covers the terms past k either way.
+    value are final, and the others are quartered, on all circles of all rows
+    at once, in one refinement loop whose cells carry their circle.  A round's
+    new points go to each row's own `_closed_form`, one call per row with
+    points, in the order a one-row table would give them, so a row's values
+    do not depend on the rest of its table.  A circle stops after _HALVINGS /
+    2 rounds (cells of width h / 2^_HALVINGS), or when more than _CELL_CAP of
+    its cells are over budget.  error = the largest cell excess left, plus the
+    truncation tail J r^{k+1} / (pi (k+1)(1-r)) and the rounding of the
+    series, the FFT and the closed form.  The caller sizes k and the grid to a
+    weighted truncation budget per level, so the tail may be large where the
+    weight is small; C covers the terms past k either way.
     """
-    levels = radii.size
-    k = np.minimum(pos.size - 1, sizes // 2 - 1)
-    # the terms past k, plus 1e-9 of the crude bound J r/(pi(1-r)^2) for the
-    # rounding of the computed coefficients
-    rest_d2 = jump_sum / math.pi * (
-        radii ** (k + 1.0) * ((k + 1.0) - k * radii) + 1e-9 * radii
-    ) / (1.0 - radii) ** 2
-    curv = np.empty(levels)  # C / 8 per circle
-    best = np.empty(levels)
-    top = np.empty(levels)  # largest final cell bound per circle
+    circles = radii.size
+    curv = np.empty(circles)
+    best = np.empty(circles)
+    top = np.empty(circles)  # largest final cell bound per circle
+    tail = np.empty(circles)
+    rounding = np.empty(circles)
     pool = []  # per chunk, the grid cells over budget
-    for m in np.unique(sizes):
-        rows = np.flatnonzero(sizes == m)
-        step = max(1, _CHUNK_PAIRS // m)
-        for i in range(0, rows.size, step):
-            chunk = rows[i : i + step]
-            u, d2 = _circle_values(pos, neg, radii[chunk], m)
-            left = np.abs(u)
-            # cell j runs from point j to point j + 1 (np.roll(left, -1, axis=1))
-            right = np.concatenate((left[:, 1:], left[:, :1]), axis=1)
-            curv[chunk] = (rest_d2[chunk] + d2) / 8.0
-            best[chunk] = left.max(axis=1)
-            allow = (TWO_PI / m) ** 2 * curv[chunk]
-            # a cell's bound is its larger end + allow; over budget past best + tols
-            ends = np.maximum(left, right)
-            over = np.flatnonzero(ends > (best[chunk] + tols[chunk] - allow)[:, None])
-            row, col = np.divmod(over, m)
-            pool.append((chunk[row], col * (TWO_PI / m), left.ravel()[over], right.ravel()[over]))
-            ends.ravel()[over] = -math.inf
-            top[chunk] = ends.max(axis=1) + allow
+    for r, f in enumerate(fs):
+        lo, hi = circle_at[r], circle_at[r + 1]
+        pos_r, neg_r = pos[coef_at[r] : coef_at[r + 1]], neg[coef_at[r] : coef_at[r + 1]]
+        radii_r, sizes_r, jump_sum = radii[lo:hi], sizes[lo:hi], float(jump_sums[r])
+        k = np.minimum(pos_r.size - 1, sizes_r // 2 - 1)
+        # C / 8 per circle: first the terms past k, plus 1e-9 of the crude bound
+        # J r/(pi(1-r)^2) for the rounding of the computed coefficients
+        curv[lo:hi] = jump_sum / math.pi * (
+            radii_r ** (k + 1.0) * ((k + 1.0) - k * radii_r) + 1e-9 * radii_r
+        ) / (1.0 - radii_r) ** 2
+        for m in sorted(set(sizes_r.tolist())):
+            mine = lo + np.flatnonzero(sizes_r == m)
+            step = max(1, _CHUNK_PAIRS // m)
+            for i in range(0, mine.size, step):
+                chunk = mine[i : i + step]
+                u, d2 = _circle_values(pos_r, neg_r, radii[chunk], m)
+                left = np.abs(u)
+                # cell j runs from point j to point j + 1 (np.roll(left, -1, axis=1))
+                right = np.concatenate((left[:, 1:], left[:, :1]), axis=1)
+                curv[chunk] = (curv[chunk] + d2) / 8.0
+                best[chunk] = left.max(axis=1)
+                allow = (TWO_PI / m) ** 2 * curv[chunk]
+                # a cell's bound is its larger end + allow; over budget past best + tols
+                ends = np.maximum(left, right)
+                over = np.flatnonzero(ends > (best[chunk] + tols[chunk] - allow)[:, None])
+                cell, col = np.divmod(over, m)
+                pool.append((chunk[cell], col * (TWO_PI / m), left.ravel()[over],
+                             right.ravel()[over]))
+                ends.ravel()[over] = -math.inf
+                top[chunk] = ends.max(axis=1) + allow
+        tail[lo:hi] = _truncation_tail(jump_sum, radii_r, k)
+        rounding[lo:hi] = 1e-14 * np.log2(sizes_r) * (
+            abs(pos_r[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii_r)) + 1.0
+        ) + _closed_form_rounding(f, 1.0 / (1.0 - radii_r), jump_sum)
     lev, start, left, right = (np.concatenate(part) for part in zip(*pool))
-    evaluate = _closed_form(f)
+    evaluators = [None] * len(fs)
+
+    def evaluate(r, zs):
+        if evaluators[r] is None:
+            evaluators[r] = _closed_form(fs[r])
+        return evaluators[r](zs)
+
     width = TWO_PI / sizes  # of every cell of a circle, quartered each round
     allow = width * width * curv
     quarters = np.arange(4.0)[:, None]
@@ -332,7 +362,7 @@ def _level_sups(
         if rnd == rounds:
             over[:] = False
         elif np.count_nonzero(over) > _CELL_CAP:  # else no circle can pass the cap
-            over &= (np.bincount(lev[over], minlength=levels) <= _CELL_CAP)[lev]
+            over &= (np.bincount(lev[over], minlength=circles) <= _CELL_CAP)[lev]
         final.append((lev[~over], bound[~over]))
         if not over.any():
             break
@@ -340,31 +370,125 @@ def _level_sups(
         width *= 0.25
         allow *= 0.0625
         starts = start + width[lev] * quarters  # quarter q starts at starts[q]
-        mid = np.abs(evaluate((radii[lev] * np.exp(1j * starts[1:])).ravel())).reshape(3, -1)
+        zs = (radii[lev] * np.exp(1j * starts[1:])).ravel()
+        if len(fs) == 1:
+            u = evaluate(0, zs)
+        else:  # each row's points, in their order, to its own evaluator
+            owner = np.tile(np.searchsorted(circle_at, lev, side="right") - 1, 3)
+            order = np.argsort(owner, kind="stable")
+            parts = np.split(zs[order], np.cumsum(np.bincount(owner, minlength=len(fs)))[:-1])
+            u = np.empty_like(zs)
+            u[order] = np.concatenate([evaluate(r, p) for r, p in enumerate(parts) if p.size])
+        mid = np.abs(u).reshape(3, -1)
         np.maximum.at(best, lev, mid.max(axis=0))
         # quarter q runs from point q to q + 1 of (left, mid[0], mid[1], mid[2], right)
         ends = np.concatenate((left[None], mid, right[None]))
         lev = np.concatenate((lev,) * 4)
         start, left, right = starts.ravel(), ends[:4].ravel(), ends[1:].ravel()
     np.maximum.at(top, *(np.concatenate(part) for part in zip(*final)))
-    tail = _truncation_tail(jump_sum, radii, k)
-    rounding = 1e-14 * np.log2(sizes) * (
-        abs(pos[0]) + jump_sum / math.pi * np.log(1.0 / (1.0 - radii)) + 1.0
-    ) + _closed_form_rounding(f, 1.0 / (1.0 - radii), jump_sum)
     return best, (top - best) + tail + rounding
 
 
 @functools.lru_cache(maxsize=16)
-def _levels(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(weights w_n, radii of K_2..K_n_max) of `CompactExhaustion(n_max)`, read-only."""
+def _levels(n_max: int, tail_budget: float, sup_budget: float) -> tuple[np.ndarray, ...]:
+    """(weights w_n, radii of K_2..K_n_max, and the truncation and sup
+    tolerances tail_budget / w_n and sup_budget / w_n of those levels) of
+    `CompactExhaustion(n_max)`, read-only."""
     ex = CompactExhaustion(n_max)
     w, radii = ex.weights(), ex.radius(np.arange(2, n_max + 1))
-    w.flags.writeable = radii.flags.writeable = False
-    return w, radii
+    with np.errstate(divide="ignore", over="ignore"):  # weight 0: no limit
+        out = w, radii, tail_budget / w[1:], sup_budget / w[1:]
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _moving_cuts(f: BoundaryFunction) -> tuple[BoundaryFunction, np.ndarray]:
+    """f without its cuts that have no jump, which leave the function as it
+    is, and the jumps of what is left."""
+    jumps = f.jumps()
+    moves = jumps != 0.0
+    if moves.all():
+        return f, jumps
+    if moves.any():
+        return BoundaryFunction._clean(f.breakpoints[moves], f.values[moves]), jumps[moves]
+    return BoundaryFunction.constant(f.values[0]), jumps[moves]
+
+
+def metric_norms(phis, ex: CompactExhaustion) -> list[tuple[float, float]]:
+    """`metric_norm` of every row of a table, in one pass.
+
+    Each non-constant row has its own Fourier coefficients and its own closed
+    form; its term counts come from one `_terms_needed` over the table, and
+    the circles of all rows share one refinement loop (`_level_sups`).  Every
+    (value, bar) is the one a table of that row alone gives, bit for bit.
+    Rows go in blocks of _TABLE_ROWS, so memory stays that of so many
+    one-row tables.
+    """
+    phis = list(phis)
+    if len(phis) > _TABLE_ROWS:
+        return [vb for i in range(0, len(phis), _TABLE_ROWS)
+                for vb in metric_norms(phis[i : i + _TABLE_ROWS], ex)]
+    w, radii, tail_tols, sup_tols = _levels(ex.n_max, _TAIL_BUDGET, _SUP_BUDGET)
+    sups = [np.empty(ex.n_max) for _ in phis]
+    errs = [np.zeros(ex.n_max) for _ in phis]
+    rows, fs, jump_sums = [], [], []  # of the rows that are not constant
+    for r, phi in enumerate(phis):
+        f, jumps = _moving_cuts(phi.boundary)
+        if f.breakpoints.size == 0:
+            sups[r][:] = abs(complex(f.values[0]))
+        else:
+            rows.append(r)
+            fs.append(f)
+            jump_sums.append(float(np.sum(np.abs(jumps))))
+    if rows:
+        jump_sums = np.array(jump_sums)
+        terms = _terms_needed(jump_sums[:, None], radii, tail_tols)  # (row, level)
+        computed, pos, neg = [], [], []  # circles (levels 2, 3, ...) computed per row
+        coef_at, circle_at = [0], [0]  # row i's coefficients and circles start at entry i
+        for t, f in zip(terms, fs):
+            # levels from the first one needing more than _TERM_CAP terms on are not computed
+            capped = np.flatnonzero(t > _TERM_CAP)
+            computed.append(int(capped[0]) if capped.size else t.size)
+            p, q = _fourier_coefficients(f, int(t[: computed[-1]].max(initial=0)))
+            pos.append(p)
+            neg.append(q)
+            coef_at.append(coef_at[-1] + p.size)
+            circle_at.append(circle_at[-1] + computed[-1])
+        best = err = np.empty(0)
+        if circle_at[-1]:
+            best, err = _level_sups(
+                fs, np.concatenate(pos), np.concatenate(neg),
+                np.concatenate([radii[:c] for c in computed]),
+                _grid_size(np.concatenate([t[:c] for t, c in zip(terms, computed)])),
+                np.concatenate([sup_tols[:c] for c in computed]), jump_sums, coef_at, circle_at,
+            )
+        for i, (r, f) in enumerate(zip(rows, fs)):
+            s, e, d = sups[r], errs[r], 1 + computed[i]
+            s[0] = abs(pos[i][0])
+            e[0] = 1e-14 * (abs(pos[i][0]) + 1.0) + 1e-15 * float(np.sum(np.abs(f.values)))
+            s[1:d] = best[circle_at[i] : circle_at[i + 1]]
+            e[1:d] = err[circle_at[i] : circle_at[i + 1]]
+            s[d:] = s[d - 1]
+            e[d:] = max(f.sup_norm() - s[d - 1], 0.0) + e[d - 1]
+    out = []
+    for phi, s, e in zip(phis, sups, errs):
+        value = float(np.dot(w, s))
+        tail = ex.tail_coeff() * phi.sup_bound()
+        unrep = 0.0
+        l = phi.unrepresented_length()
+        if l > 0.0 and phi.tail_bound > 0.0:
+            kern = 2.0 * np.arange(1, ex.n_max + 1) - 1.0  # kernel sup on K_n
+            unrep = phi.tail_bound * float(np.dot(w, np.minimum(1.0, kern * l / TWO_PI)))
+            unrep += phi.tail_bound * ex.tail_coeff()  # same regions, truncated levels
+        bar = tail + unrep + float(np.dot(w, e))
+        out.append((value, float(bar)))
+    return out
 
 
 def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, float]:
-    """Truncated metric norm with a certified error bar.
+    """Truncated metric norm with a certified error bar: `metric_norms` of
+    the one-row table (phi,).
 
     value = sum_{n<=n_max} w_n sup_{K_n}|phi_materialized|, w_n = 1/(n^2 2^n).
     The Fourier coefficients of the boundary data are computed once; each
@@ -384,53 +508,26 @@ def metric_norm(phi: HarmonicFunction, ex: CompactExhaustion) -> tuple[float, fl
     report the last computed level's sup (a lower bound, since K_n grows) and
     add w_n times the gap up to sup|f| to the bar.
     """
-    f = phi.boundary
-    moves = f.jumps() != 0.0  # a cut with no jump leaves the function as it is
-    if f.breakpoints.size and not moves.all():
-        f = BoundaryFunction._clean(f.breakpoints[moves], f.values[moves]) if moves.any() else (
-            BoundaryFunction.constant(f.values[0]))
-    w, radii = _levels(ex.n_max)
-    sups = np.empty(ex.n_max)
-    errs = np.zeros(ex.n_max)
-    if f.breakpoints.size == 0:
-        sups[:] = abs(complex(f.values[0]))
-    else:
-        jump_sum = float(np.sum(np.abs(f.jumps())))
-        with np.errstate(divide="ignore", over="ignore"):  # weight 0: no limit
-            tail_tols, sup_tols = _TAIL_BUDGET / w[1:], _SUP_BUDGET / w[1:]
-        terms = _terms_needed(jump_sum, radii, tail_tols)
-        capped = np.flatnonzero(terms > _TERM_CAP)
-        done = 1 + (int(capped[0]) if capped.size else terms.size)
-        pos, neg = _fourier_coefficients(f, int(terms[: done - 1].max(initial=0)))
-        sups[0] = abs(pos[0])
-        errs[0] = 1e-14 * (abs(pos[0]) + 1.0) + 1e-15 * float(np.sum(np.abs(f.values)))
-        if done > 1:
-            sups[1:done], errs[1:done] = _level_sups(
-                f, pos, neg, radii[: done - 1], _grid_size(terms[: done - 1]),
-                sup_tols[: done - 1], jump_sum,
-            )
-        sups[done:] = sups[done - 1]
-        errs[done:] = max(f.sup_norm() - sups[done - 1], 0.0) + errs[done - 1]
-    value = float(np.dot(w, sups))
-    tail = ex.tail_coeff() * phi.sup_bound()
-    unrep = 0.0
-    l = phi.unrepresented_length()
-    if l > 0.0 and phi.tail_bound > 0.0:
-        kern = 2.0 * np.arange(1, ex.n_max + 1) - 1.0  # kernel sup on K_n
-        unrep = phi.tail_bound * float(np.dot(w, np.minimum(1.0, kern * l / TWO_PI)))
-        unrep += phi.tail_bound * ex.tail_coeff()  # same regions, truncated levels
-    bar = tail + unrep + float(np.dot(w, errs))
-    return value, float(bar)
+    return metric_norms([phi], ex)[0]
+
+
+def _difference(p1: HarmonicFunction, p2: HarmonicFunction) -> HarmonicFunction:
+    """p1 - p2, its unrepresented arcs both sides' and its tail bound their sum."""
+    unrep = tuple(p1.unrepresented) + tuple(p2.unrepresented)
+    tail = (p1.sup_bound() + p2.sup_bound()) if unrep else 0.0
+    return HarmonicFunction(p1.boundary.minus(p2.boundary), unrep, tail)
+
+
+def metric_distances(pairs, ex: CompactExhaustion) -> list[tuple[float, float]]:
+    """`metric_distance` of every pair (p1, p2) of a table, as one `metric_norms`."""
+    return metric_norms([_difference(p1, p2) for p1, p2 in pairs], ex)
 
 
 def metric_distance(
     p1: HarmonicFunction, p2: HarmonicFunction, ex: CompactExhaustion
 ) -> tuple[float, float]:
     """Metric norm of the difference, bars combined conservatively."""
-    diff = p1.boundary.minus(p2.boundary)
-    unrep = tuple(p1.unrepresented) + tuple(p2.unrepresented)
-    tail = (p1.sup_bound() + p2.sup_bound()) if unrep else 0.0
-    return metric_norm(HarmonicFunction(diff, unrep, tail), ex)
+    return metric_norm(_difference(p1, p2), ex)
 
 
 # --- iterated-action diagnostics --------------------------------------------

@@ -193,6 +193,16 @@ def test_terms_needed_matches_bisection():
         mismatches += np.count_nonzero(poisson._terms_needed(jump_sum, radii, tol) != expect)
         cases += n
     assert cases >= 500_000 and mismatches == 0
+    # a table: a column of jump sums against one set of radii and tolerances
+    # gives each row the k of its own call
+    jump_sums = 10.0 ** rng.uniform(-3, 4, 50)
+    radii = 1.0 - 1.0 / rng.integers(2, 100_000, 400)
+    tol = 10.0 ** rng.uniform(-300, 300, 400)
+    tol[::37] = np.inf
+    table = poisson._terms_needed(jump_sums[:, None], radii, tol)
+    assert table.shape == (50, 400)
+    for row, jump_sum in zip(table, jump_sums):
+        assert np.array_equal(row, poisson._terms_needed(jump_sum, radii, tol))
 
 
 def _by_antiderivative(f, zs):
@@ -440,17 +450,16 @@ class TestSpectralSups:
     def test_each_cell_is_closed_by_its_own_right_end(self, monkeypatch):
         # a 1e-3-wide arc of value 1 peaks sharply at its middle direction, where
         # the harmonic measure is largest on every circle; a cell bounded with
-        # another cell's end, on the grid or after quartering, loses the peak
-        found = []
-        level_sups = poisson._level_sups
-        monkeypatch.setattr(poisson, "_level_sups",
-                            lambda *a: found.append(level_sups(*a)) or found[-1])
+        # another cell's end, on the grid or after quartering, or with another
+        # row's, loses the peak
+        calls = _spy_level_sups(monkeypatch)
         width = 1e-3
         r = CompactExhaustion().radius(np.arange(2, 41))
-        for start in np.linspace(0.1, 6.0, 30):
-            f = BoundaryFunction([start, start + width], [1.0, 0.0])
-            metric_norm(HarmonicFunction(f), CompactExhaustion())
-            best, err = found.pop()
+        starts = np.linspace(0.1, 6.0, 30)
+        poisson.metric_norms([HarmonicFunction(BoundaryFunction([start, start + width], [1.0, 0.0]))
+                              for start in starts], CompactExhaustion())
+        (args, result), = calls
+        for start, (_, (best, err)) in zip(starts, _table_rows(args, result), strict=True):
             z = r * np.exp(1j * (start + width / 2))
             seen = np.angle((np.exp(1j * (start + width)) - z) / (np.exp(1j * start) - z))
             sup = (seen % TWO_PI - width / 2) / math.pi
@@ -458,28 +467,100 @@ class TestSpectralSups:
             assert np.all(sup <= best + err), (start, np.flatnonzero(sup > best + err) + 2)
 
     def test_level_sups_match_the_round_by_round_loop(self, monkeypatch):
-        # the flat loop (one evaluator, widths quartered in place, final cells
-        # folded once) gives the grid maxima and errors of the loop it replaced,
-        # bit for bit, on translate differences, a narrow arc and data whose
-        # near-constant |u| drives circles past _CELL_CAP
-        calls = []
-        level_sups = poisson._level_sups
-        monkeypatch.setattr(poisson, "_level_sups",
-                            lambda *a: calls.append((a, level_sups(*a))) or calls[-1][1])
+        # the flat loop (one evaluator per row, widths quartered in place, final
+        # cells folded once, the cells of all rows in one loop) gives each row
+        # the grid maxima and errors of the one-row loop it replaced, bit for
+        # bit, on translate differences, a narrow arc and data whose
+        # near-constant |u| drives circles past _CELL_CAP, each alone and as
+        # one table
+        calls = _spy_level_sups(monkeypatch)
         rng = np.random.default_rng(0x1E)
         ex = CompactExhaustion()
+        pairs = []
         for pieces in (4, 8, 8, 16, 64):
             f = HarmonicFunction(random_boundary(rng, pieces))
-            metric_distance(f, translate_boundary(f, random_element(rng)), ex)
-        metric_norm(HarmonicFunction(BoundaryFunction([1.0, 1.001], [1.0, 0.0])), ex)
+            pairs.append((f, translate_boundary(f, random_element(rng))))
+            metric_distance(*pairs[-1], ex)
+        narrow = HarmonicFunction(BoundaryFunction([1.0, 1.001], [1.0, 0.0]))
         s = np.arange(90) * (TWO_PI / 90)
-        metric_norm(HarmonicFunction(BoundaryFunction(s, 0.9 * np.exp(1j * s))), ex)
-        capped = 0
-        for args, (best, err) in calls:
-            want_best, want_err, cells = _round_by_round_level_sups(*args)
-            assert np.array_equal(best, want_best) and np.array_equal(err, want_err)
-            capped += cells > poisson._CELL_CAP
-        assert capped  # the cap path ran
+        flat = HarmonicFunction(BoundaryFunction(s, 0.9 * np.exp(1j * s)))
+        metric_norm(narrow, ex)
+        metric_norm(flat, ex)
+        zero = HarmonicFunction(BoundaryFunction.constant(0.0))
+        poisson.metric_distances(pairs[:2] + [(flat, zero), (narrow, zero)] + pairs[2:], ex)
+        capped = rows = 0
+        for args, result in calls:
+            for row_args, (best, err) in _table_rows(args, result):
+                want_best, want_err, cells = _round_by_round_level_sups(*row_args)
+                assert np.array_equal(best, want_best) and np.array_equal(err, want_err)
+                capped += cells > poisson._CELL_CAP
+                rows += 1
+        assert len(calls) == 8 and rows == 14
+        assert capped == 2  # the cap path ran, alone and in the table
+
+
+class TestTables:
+    """A table gives, bit for bit, what each of its rows gives alone."""
+
+    @staticmethod
+    def _rows(rng):
+        f = random_boundary(rng, 7)
+        split = BoundaryFunction(np.append(f.breakpoints, [0.3, 3.3]),
+                                 np.append(f.values, f.evaluate([0.3, 3.3])))
+        s = np.arange(90) * (TWO_PI / 90)
+        return [
+            HarmonicFunction(random_boundary(rng, 16)),
+            HarmonicFunction(BoundaryFunction.constant(0.3 - 0.2j)),
+            HarmonicFunction(split),  # two cuts with no jump
+            HarmonicFunction(BoundaryFunction([0.5, 2.0, 4.0], [0.4j, 0.4j, 0.4j])),  # none jumps
+            HarmonicFunction(random_boundary(rng, 8), (Arc(1.0 + 0j, 0.02),), 0.5),
+            # near-constant |u| passes _CELL_CAP on its circles, the rows around it do not
+            HarmonicFunction(BoundaryFunction(s, 0.9 * np.exp(1j * s))),
+            HarmonicFunction(BoundaryFunction([1.0, 1.001], [1.0, 0.0])),
+            HarmonicFunction(random_boundary(rng, 40)),
+        ]
+
+    @pytest.mark.parametrize("term_cap, table_rows", [(None, None), (150, 3)])
+    def test_rows_match_one_row_tables(self, monkeypatch, term_cap, table_rows):
+        # a cap of 150 terms stops the non-constant rows after 6 or 7 levels,
+        # not all at the same one; blocks of 3 rows split the table
+        if term_cap is not None:
+            monkeypatch.setattr(poisson, "_TERM_CAP", term_cap)
+        if table_rows is not None:
+            monkeypatch.setattr(poisson, "_TABLE_ROWS", table_rows)
+        rng = np.random.default_rng(0x7AB)
+        ex = CompactExhaustion()
+        rows = self._rows(rng)
+        assert poisson.metric_norms(rows, ex) == [metric_norm(phi, ex) for phi in rows]
+        pairs = []
+        for pieces in (4, 8, 8, 16, 26, 40):
+            f = HarmonicFunction(random_boundary(rng, pieces))
+            pairs.append((f, translate_boundary(f, random_element(rng))))
+        assert poisson.metric_distances(pairs, ex) == [metric_distance(*p, ex) for p in pairs]
+
+    def test_empty_table(self):
+        assert poisson.metric_norms([], CompactExhaustion()) == []
+        assert poisson.metric_distances([], CompactExhaustion()) == []
+
+
+def _spy_level_sups(monkeypatch) -> list:
+    """The (arguments, result) of every `poisson._level_sups` call."""
+    calls = []
+    level_sups = poisson._level_sups
+    monkeypatch.setattr(poisson, "_level_sups",
+                        lambda *a: calls.append((a, level_sups(*a))) or calls[-1][1])
+    return calls
+
+
+def _table_rows(args, result):
+    """Per row of a `_level_sups` table call: its one-row arguments
+    (f, pos, neg, radii, sizes, tols, jump_sum) and its (best, err)."""
+    fs, pos, neg, radii, sizes, tols, jump_sums, coef_at, circle_at = args
+    best, err = result
+    for r, f in enumerate(fs):
+        c, a = slice(coef_at[r], coef_at[r + 1]), slice(circle_at[r], circle_at[r + 1])
+        row_args = (f, pos[c], neg[c], radii[a], sizes[a], tols[a], float(jump_sums[r]))
+        yield row_args, (best[a], err[a])
 
 
 def _round_by_round_level_sups(f, pos, neg, radii, sizes, tols, jump_sum):

@@ -1,5 +1,6 @@
 """The sweep scripts run end to end at small sizes."""
 
+import argparse
 import csv
 import importlib.util
 import pathlib
@@ -10,11 +11,15 @@ import discdyn
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _main(name):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _main(name):
+    return _module(name).main
 
 
 def _rows(path):
@@ -58,6 +63,15 @@ def test_ab_inprocess_foliate(capsys):
     out = capsys.readouterr().out
     assert out.count("per op median") == 2
     assert "change wins" in out and "identical (exit code, CSV, JSON): 3/3" in out
+    assert sys.modules["discdyn"] is discdyn
+
+
+def test_ab_inprocess_dense():
+    # in this process: the child interpreters of `main` are covered above
+    repo = str(SCRIPTS.parent)
+    args = argparse.Namespace(op="dense", ops=2, seed=1, parent=repo, change=repo)
+    per_op, same, _ = _module("ab_inprocess")._alternate(args, "parent", 2)
+    assert [len(t) for t in per_op.values()] == [2, 2] and same == [True, True]
     assert sys.modules["discdyn"] is discdyn
 
 
