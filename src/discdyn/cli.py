@@ -200,13 +200,15 @@ def cmd_act(args) -> int:
 
 def cmd_orbit(args) -> int:
     f = _load_boundary(args.boundary)
-    ex = CompactExhaustion()
-    fns = list(chaos.translates(f, _element_from_args(args), args.steps))
-    norms = poisson.metric_norms([HarmonicFunction(fn) for fn in fns], ex)
-    rows = []
-    for n, (fn, (val, bar)) in enumerate(zip(fns, norms)):
-        m = fn.mean()
-        rows.append((n, val, bar, m.real, m.imag))
+    means = []
+
+    def table():  # the rows, streamed: metric_norms reads them a block at a time
+        for fn in chaos.translates(f, _element_from_args(args), args.steps):
+            means.append(fn.mean())
+            yield HarmonicFunction(fn)
+
+    norms = poisson.metric_norms(table(), CompactExhaustion())
+    rows = [(n, val, bar, m.real, m.imag) for n, ((val, bar), m) in enumerate(zip(norms, means))]
     _write_csv(
         args.out, "orbit", args, ["n", "norm", "norm_bar", "mean_re", "mean_im"], zip(*rows)
     )

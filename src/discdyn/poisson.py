@@ -422,13 +422,20 @@ def metric_norms(phis, ex: CompactExhaustion) -> list[tuple[float, float]]:
     form; its term counts come from one `_terms_needed` over the table, and
     the circles of all rows share one refinement loop (`_level_sups`).  Every
     (value, bar) is the one a table of that row alone gives, bit for bit.
-    Rows go in blocks of _TABLE_ROWS, so memory stays that of so many
-    one-row tables.
+    The rows are read from the iterable phis in blocks of _TABLE_ROWS, so
+    memory stays that of so many one-row tables however long the table.
     """
-    phis = list(phis)
-    if len(phis) > _TABLE_ROWS:
-        return [vb for i in range(0, len(phis), _TABLE_ROWS)
-                for vb in metric_norms(phis[i : i + _TABLE_ROWS], ex)]
+    out, block = [], []
+    for phi in phis:
+        block.append(phi)
+        if len(block) == _TABLE_ROWS:
+            out += _block_norms(block, ex)
+            block = []
+    return out + _block_norms(block, ex)
+
+
+def _block_norms(phis: list, ex: CompactExhaustion) -> list[tuple[float, float]]:
+    """`metric_norms` of at most _TABLE_ROWS rows."""
     w, radii, tail_tols, sup_tols = _levels(ex.n_max, _TAIL_BUDGET, _SUP_BUDGET)
     sups = [np.empty(ex.n_max) for _ in phis]
     errs = [np.zeros(ex.n_max) for _ in phis]
@@ -520,7 +527,7 @@ def _difference(p1: HarmonicFunction, p2: HarmonicFunction) -> HarmonicFunction:
 
 def metric_distances(pairs, ex: CompactExhaustion) -> list[tuple[float, float]]:
     """`metric_distance` of every pair (p1, p2) of a table, as one `metric_norms`."""
-    return metric_norms([_difference(p1, p2) for p1, p2 in pairs], ex)
+    return metric_norms((_difference(p1, p2) for p1, p2 in pairs), ex)
 
 
 def metric_distance(
